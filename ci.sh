@@ -19,6 +19,10 @@ cargo build --release
 step "cargo test (workspace: unit + integration + property + doc tests)"
 cargo test --workspace -q
 
+step "perfbench: build and test the benchmark package against the workspace"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 step "cargo doc --no-deps (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -126,6 +126,17 @@ pub struct SweepStats {
     pub extraction_trim_fallbacks: usize,
 }
 
+impl SweepStats {
+    /// Copies the sweep-wide extraction cache counters into `report`: how a
+    /// one-point sweep reports as a solo mine.
+    pub fn copy_cache_counters(&self, report: &mut MiningReport) {
+        report.extraction_cache_hits = self.extraction_cache_hits;
+        report.extraction_prefix_hits = self.extraction_prefix_hits;
+        report.extraction_trim_hits = self.extraction_trim_hits;
+        report.extraction_trim_fallbacks = self.extraction_trim_fallbacks;
+    }
+}
+
 /// The result of one batch parameter sweep ([`Miner::mine_sweep`]):
 /// one [`MiningResult`] per requested grid point (in request order,
 /// duplicates sharing their unique point's result) plus the planner
@@ -185,11 +196,11 @@ impl Miner {
         self.mine_cancellable(dataset, extraction_cache, &CancelToken::never())
     }
 
-    /// Cancellation-aware form of [`Miner::mine_with_cache`]: the token is
-    /// polled between pipeline phases, at every scheduler unit boundary, and
-    /// every [`crate::CANCEL_CHECK_STRIDE`] ESU expansion steps inside the
-    /// search, so an in-flight mine aborts within a bounded stride and
-    /// returns [`MiningError::Cancelled`] / [`MiningError::DeadlineExceeded`].
+    /// Cancellation-aware form of [`Miner::mine_with_cache`]: a one-point
+    /// [`Miner::mine_sweep`], polling the token exactly like the sweep does
+    /// and returning [`MiningError::Cancelled`] /
+    /// [`MiningError::DeadlineExceeded`] when it fires. The sweep-wide
+    /// extraction cache counters are copied into the one report.
     ///
     /// An aborted mine never produces a partial [`MiningResult`]; the only
     /// externally visible residue is extraction states already written to
@@ -201,80 +212,11 @@ impl Miner {
         extraction_cache: Option<&dyn EvolvingCache>,
         cancel: &CancelToken,
     ) -> Result<MiningResult, MiningError> {
-        if dataset.timestamp_count() < 2 {
-            return Err(MiningError::DatasetTooSmall(dataset.timestamp_count()));
-        }
-        let mut report = MiningReport::default();
-
-        // Steps (1) + (2): segmentation and evolving-timestamp extraction,
-        // parallelized over series by the shared scheduler once the dataset
-        // is large enough for the thread fan-out to pay for itself.
-        let t0 = Instant::now();
-        let series: Vec<&miscela_model::TimeSeries> = dataset.iter().map(|ss| ss.series).collect();
-        let cells = series.len() * dataset.timestamp_count();
-        let workers = if cells >= PARALLEL_EXTRACTION_CELLS {
-            scheduler::available_workers()
-        } else {
-            1
-        };
-        let tallies = ExtractionTallies::default();
-        let append_bases = dataset.append_bases();
-        cancel.check()?;
-        let evolving: Vec<EvolvingSets> =
-            scheduler::parallel_map_cancellable(&series, workers, cancel, |&s| {
-                Ok(self.extract_series(s, append_bases, extraction_cache, &tallies))
-            })?;
-        let attributes: Vec<AttributeId> = dataset.iter().map(|ss| ss.sensor.attribute).collect();
-        report.extraction_time = t0.elapsed();
-        report.extraction_cache_hits = tallies.cache_hits.into_inner();
-        report.extraction_prefix_hits = tallies.prefix_hits.into_inner();
-        report.extraction_trim_hits = tallies.trim_hits.into_inner();
-        report.extraction_trim_fallbacks = tallies.trim_fallbacks.into_inner();
-        report.evolving_events = evolving.iter().map(|e| e.total()).sum();
-
-        // Step (3): proximity graph and connected components.
-        cancel.check()?;
-        let t1 = Instant::now();
-        let graph = ProximityGraph::build(dataset, self.params.eta_km);
-        report.spatial_time = t1.elapsed();
-        report.proximity_edges = graph.edge_count();
-        report.searchable_components = graph.components_at_least(2).count();
-        report.largest_component = graph
-            .components()
-            .iter()
-            .map(|c| c.len())
-            .max()
-            .unwrap_or(0);
-
-        // Step (4): CAP search per component, in parallel.
-        cancel.check()?;
-        let t2 = Instant::now();
-        let ctx = SearchContext {
-            evolving: &evolving,
-            attributes: &attributes,
-            graph: &graph,
-            params: &self.params,
-        };
-        let components: Vec<&Vec<SensorIndex>> = graph.components_at_least(2).collect();
-        let caps = search_components_parallel(&ctx, &components, cancel)?;
-        report.search_time = t2.elapsed();
-
-        let caps = CapSet::from_caps(caps);
-        report.cap_count = caps.len();
-
-        // Optional time-delayed extension.
-        let delayed = if self.params.max_delay > 0 {
-            cancel.check()?;
-            mine_delayed(&evolving, &attributes, &graph, &self.params)
-        } else {
-            Vec::new()
-        };
-
-        Ok(MiningResult {
-            caps,
-            delayed,
-            report,
-        })
+        let points = std::slice::from_ref(&self.params);
+        let mut out = Miner::mine_sweep(dataset, points, extraction_cache, cancel)?;
+        let mut result = out.results.pop().expect("one result per point");
+        out.stats.copy_cache_counters(&mut result.report);
+        Ok(result)
     }
 
     /// Mines an entire parameter grid over one dataset as a single
@@ -313,10 +255,15 @@ impl Miner {
     /// `results[i]` always corresponds to `points[i]`. Per-point reports
     /// carry the sweep's *shared* phase timings (each point paid them once,
     /// together) and zero cache counters — the sweep-wide cache counters
-    /// live in [`SweepStats`]. The token is polled exactly like
-    /// [`Miner::mine_cancellable`]; an aborted sweep leaves at most
-    /// content-keyed extraction states in the cache, which remain correct
-    /// for any later mine.
+    /// live in [`SweepStats`]. Every solo mine is a one-point sweep
+    /// ([`Miner::mine_cancellable`]), so this is the only pipeline.
+    ///
+    /// The token is polled between pipeline phases, at every scheduler unit
+    /// boundary, and every [`crate::CANCEL_CHECK_STRIDE`] ESU expansion
+    /// steps inside the search, so an in-flight sweep aborts within a
+    /// bounded stride. An aborted sweep leaves at most content-keyed
+    /// extraction states in the cache, which remain correct for any later
+    /// mine.
     pub fn mine_sweep(
         dataset: &Dataset,
         points: &[MiningParams],
@@ -486,6 +433,11 @@ impl Miner {
         for (gi, ctx) in ctxs.iter().enumerate() {
             for comp in ctx.graph.components_at_least(2) {
                 if comp.len() >= SPLIT_COMPONENT_SIZE {
+                    // The ESU subtree rooted at a seed only explores sensors
+                    // beyond it, so cost a seed as the suffix cost of its
+                    // (ascending-sorted) component: the lowest seed, which
+                    // owns the largest subtree, ranks like the whole
+                    // component and starts first.
                     let mut suffix = 0usize;
                     for &seed in comp.iter().rev() {
                         suffix += ctx.graph.degree(seed) + 1;
@@ -500,6 +452,8 @@ impl Miner {
                 }
             }
         }
+        // Largest units first: the expensive subtrees start immediately and
+        // the cheap tail backfills idle workers.
         units.sort_by_key(|u| std::cmp::Reverse(u.0));
         let tagged: Vec<(usize, Cap)> = scheduler::run_units_cancellable(
             &units,
@@ -542,33 +496,28 @@ impl Miner {
             }
         }
 
-        // Per-point results: the ψ-filter of the owning group's superset.
+        // Per-point results: the ψ-filter of the owning group's superset,
+        // moved out of the group by its last member instead of cloned.
+        let mut members_left = vec![0usize; groups.len()];
+        for &gi in &group_of {
+            members_left[gi] += 1;
+        }
         let mut unique_results: Vec<MiningResult> = Vec::with_capacity(unique.len());
         for (ui, p) in unique.iter().enumerate() {
             let gi = group_of[ui];
             let g = &groups[gi];
-            let caps = CapSet::from_caps(
-                group_caps[gi]
-                    .iter()
-                    .filter(|c| c.support >= p.psi)
-                    .cloned()
-                    .collect(),
-            );
-            let delayed: Vec<DelayedCap> = group_delayed[gi]
-                .iter()
-                .filter(|d| d.support >= p.psi)
-                .cloned()
-                .collect();
+            members_left[gi] -= 1;
+            let last = members_left[gi] == 0;
+            let caps = CapSet::from_caps(filter_support(&mut group_caps[gi], last, |c| {
+                c.support >= p.psi
+            }));
+            let delayed = filter_support(&mut group_delayed[gi], last, |d| d.support >= p.psi);
             let class_sets = &flat[g.class * n_series..(g.class + 1) * n_series];
             let graph = &graphs[g.graph];
             let report = MiningReport {
                 extraction_time,
                 spatial_time,
                 search_time,
-                extraction_cache_hits: 0,
-                extraction_prefix_hits: 0,
-                extraction_trim_hits: 0,
-                extraction_trim_fallbacks: 0,
                 evolving_events: class_sets.iter().map(|e| e.total()).sum(),
                 proximity_edges: graph.edge_count(),
                 searchable_components: graph.components_at_least(2).count(),
@@ -579,6 +528,7 @@ impl Miner {
                     .max()
                     .unwrap_or(0),
                 cap_count: caps.len(),
+                ..MiningReport::default()
             };
             unique_results.push(MiningResult {
                 caps,
@@ -586,10 +536,15 @@ impl Miner {
                 report,
             });
         }
-        let results: Vec<MiningResult> = point_of
-            .iter()
-            .map(|&ui| unique_results[ui].clone())
-            .collect();
+        let results: Vec<MiningResult> = if unique_results.len() == points.len() {
+            // No duplicates: point i is unique point i.
+            unique_results
+        } else {
+            point_of
+                .iter()
+                .map(|&ui| unique_results[ui].clone())
+                .collect()
+        };
         Ok(SweepOutput {
             results,
             stats: SweepStats {
@@ -606,8 +561,8 @@ impl Miner {
         })
     }
 
-    /// Steps (1)+(2) for one series: the shared per-series extraction unit
-    /// of [`Miner::mine_cancellable`] and [`Miner::mine_sweep`].
+    /// Steps (1)+(2) for one series: the per-series extraction unit of
+    /// [`Miner::mine_sweep`].
     ///
     /// With a cache, one rolling-fingerprint pass yields the full-content
     /// key, the checkpoint at every recorded pre-append length, and — when
@@ -876,57 +831,17 @@ enum WorkUnit<'c> {
     Seed(SensorIndex),
 }
 
-/// Searches components in parallel with a work-stealing scheduler.
-///
-/// Work units are sorted by estimated search cost (largest first) and
-/// claimed through a shared atomic cursor, so fast workers steal the
-/// remaining tail instead of idling behind a static assignment. Results are
-/// re-assembled in unit order, which makes the output deterministic
-/// regardless of thread timing.
-fn search_components_parallel(
-    ctx: &SearchContext<'_>,
-    components: &[&Vec<SensorIndex>],
-    cancel: &CancelToken,
-) -> Result<Vec<Cap>, MiningError> {
-    let mut units: Vec<(usize, WorkUnit<'_>)> = Vec::new();
-    for comp in components {
-        if comp.len() >= SPLIT_COMPONENT_SIZE {
-            // The ESU subtree rooted at a seed only explores sensors beyond
-            // it, so cost a seed as the suffix cost of its (ascending-sorted)
-            // component. This keeps seed units on the same scale as whole
-            // small components: the lowest seed — which owns the largest
-            // subtree — ranks like the whole component and starts first.
-            let mut suffix = 0usize;
-            for &seed in comp.iter().rev() {
-                suffix += ctx.graph.degree(seed) + 1;
-                units.push((suffix, WorkUnit::Seed(seed)));
-            }
-        } else {
-            units.push((
-                ctx.graph.estimated_search_cost(comp),
-                WorkUnit::Component(comp),
-            ));
-        }
+/// The members of a group's pool that `keep` accepts: moved out of the pool
+/// on its `last` use, cloned from it before.
+fn filter_support<T: Clone>(pool: &mut Vec<T>, last: bool, keep: impl Fn(&T) -> bool) -> Vec<T> {
+    if last {
+        std::mem::take(pool)
+            .into_iter()
+            .filter(|x| keep(x))
+            .collect()
+    } else {
+        pool.iter().filter(|x| keep(x)).cloned().collect()
     }
-    if units.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Largest units first: the expensive subtrees start immediately and the
-    // cheap tail backfills idle workers.
-    units.sort_by_key(|u| std::cmp::Reverse(u.0));
-
-    scheduler::run_units_cancellable(
-        &units,
-        scheduler::available_workers(),
-        cancel,
-        SearchScratch::new,
-        |(_, unit), scratch, out| match *unit {
-            WorkUnit::Component(comp) => {
-                ctx.search_component_cancellable(comp, scratch, out, cancel)
-            }
-            WorkUnit::Seed(seed) => ctx.search_seed_cancellable(seed, scratch, out, cancel),
-        },
-    )
 }
 
 #[cfg(test)]
@@ -1001,6 +916,60 @@ mod tests {
             .with_psi(10)
             .with_mu(3)
             .with_segmentation(false)
+    }
+
+    /// The sequential reference pipeline the byte-identity oracles compare
+    /// against: cold per-series extraction, one proximity graph, a
+    /// per-component search at the point's own ψ and the delayed extension
+    /// when `max_delay > 0` — no cache, no scheduler, no grid planning.
+    fn sequential_reference(ds: &Dataset, p: &MiningParams) -> MiningResult {
+        let evolving: Vec<EvolvingSets> = ds
+            .iter()
+            .map(|ss| {
+                extract_with_segmentation(
+                    ss.series,
+                    p.epsilon,
+                    p.segmentation,
+                    p.segmentation_error,
+                )
+            })
+            .collect();
+        let attributes: Vec<AttributeId> = ds.iter().map(|ss| ss.sensor.attribute).collect();
+        let graph = ProximityGraph::build(ds, p.eta_km);
+        let ctx = SearchContext {
+            evolving: &evolving,
+            attributes: &attributes,
+            graph: &graph,
+            params: p,
+        };
+        let mut caps = Vec::new();
+        for comp in graph.components_at_least(2) {
+            caps.extend(ctx.search_component(comp));
+        }
+        let caps = CapSet::from_caps(caps);
+        let delayed = if p.max_delay > 0 {
+            mine_delayed(&evolving, &attributes, &graph, p)
+        } else {
+            Vec::new()
+        };
+        let report = MiningReport {
+            evolving_events: evolving.iter().map(|e| e.total()).sum(),
+            proximity_edges: graph.edge_count(),
+            searchable_components: graph.components_at_least(2).count(),
+            largest_component: graph
+                .components()
+                .iter()
+                .map(|c| c.len())
+                .max()
+                .unwrap_or(0),
+            cap_count: caps.len(),
+            ..MiningReport::default()
+        };
+        MiningResult {
+            caps,
+            delayed,
+            report,
+        }
     }
 
     #[test]
@@ -1126,30 +1095,7 @@ mod tests {
         // Deterministic across runs.
         assert_eq!(miner.mine(&ds).unwrap().caps, result.caps);
         // Identical to the sequential per-component search.
-        let evolving: Vec<EvolvingSets> = ds
-            .iter()
-            .map(|ss| {
-                extract_with_segmentation(
-                    ss.series,
-                    p.epsilon,
-                    p.segmentation,
-                    p.segmentation_error,
-                )
-            })
-            .collect();
-        let attributes: Vec<AttributeId> = ds.iter().map(|ss| ss.sensor.attribute).collect();
-        let graph = ProximityGraph::build(&ds, p.eta_km);
-        let ctx = SearchContext {
-            evolving: &evolving,
-            attributes: &attributes,
-            graph: &graph,
-            params: &p,
-        };
-        let mut sequential = Vec::new();
-        for comp in graph.components_at_least(2) {
-            sequential.extend(ctx.search_component(comp));
-        }
-        assert_eq!(CapSet::from_caps(sequential), result.caps);
+        assert_eq!(sequential_reference(&ds, &p).caps, result.caps);
     }
 
     #[test]
@@ -1498,6 +1444,11 @@ mod tests {
             params().with_psi(30).with_eta_km(5.0),
             params().with_psi(5).with_mu(2),
             params().with_psi(30), // duplicate of an earlier point
+            // Every fixture CAP has support 120: ψ = 120 keeps them all and
+            // ψ = 121 none, so these two points make the group's ψ-filter
+            // bite at its boundary.
+            params().with_psi(120),
+            params().with_psi(121),
             params().with_psi(5).with_max_delay(2),
             params().with_psi(30).with_max_delay(2),
             params()
@@ -1507,28 +1458,46 @@ mod tests {
         ];
         let out = Miner::mine_sweep(&ds, &grid, None, &CancelToken::never()).unwrap();
         assert_eq!(out.results.len(), grid.len());
-        // Byte-identity oracle: every grid point against its independent
-        // mine — including points whose search ran at a lower group ψ.
+        // Byte-identity oracle: every grid point against the sequential
+        // reference — including points whose search ran at a lower group ψ
+        // — and so is the one-point sweep behind a solo mine.
         for (p, r) in grid.iter().zip(&out.results) {
-            let solo = Miner::new(p.clone()).unwrap().mine(&ds).unwrap();
-            assert_eq!(r.caps, solo.caps, "sweep diverged for {}", p.signature());
+            let reference = sequential_reference(&ds, p);
+            assert_eq!(
+                r.caps,
+                reference.caps,
+                "sweep diverged for {}",
+                p.signature()
+            );
             assert_eq!(
                 r.delayed,
-                solo.delayed,
+                reference.delayed,
                 "delayed diverged for {}",
                 p.signature()
             );
-            assert_eq!(r.report.cap_count, solo.report.cap_count);
-            assert_eq!(r.report.proximity_edges, solo.report.proximity_edges);
-            assert_eq!(r.report.evolving_events, solo.report.evolving_events);
+            assert_eq!(r.report.cap_count, reference.report.cap_count);
+            assert_eq!(r.report.proximity_edges, reference.report.proximity_edges);
+            assert_eq!(r.report.evolving_events, reference.report.evolving_events);
+            assert_eq!(
+                r.report.searchable_components,
+                reference.report.searchable_components
+            );
+            assert_eq!(
+                r.report.largest_component,
+                reference.report.largest_component
+            );
+            let solo = Miner::new(p.clone()).unwrap().mine(&ds).unwrap();
+            assert_eq!(solo.caps, reference.caps);
+            assert_eq!(solo.delayed, reference.delayed);
         }
         // The planner shared what the grid permits.
         assert_eq!(out.stats.requested_points, grid.len());
         assert_eq!(out.stats.unique_points, grid.len() - 1);
         assert_eq!(out.stats.extraction_classes, 2); // ε shared; one seg class
         assert_eq!(out.stats.graphs_built, 2); // η ∈ {1.0, 5.0}
-                                               // Groups: base {ψ5,ψ30}, η5 {ψ5,ψ30}, μ2 {ψ5}, delay {ψ5,ψ30},
-                                               // seg {ψ5}.
+
+        // Groups: base {ψ5,ψ30,ψ120,ψ121}, η5 {ψ5,ψ30}, μ2 {ψ5},
+        // delay {ψ5,ψ30}, seg {ψ5}.
         assert_eq!(out.stats.search_groups, 5);
         // ψ-monotonicity is visible inside one group.
         assert!(out.results[0].caps.len() >= out.results[1].caps.len());
@@ -1546,10 +1515,9 @@ mod tests {
         let out = Miner::mine_sweep(&ds, &grid, Some(&cache), &CancelToken::never()).unwrap();
         assert_eq!(out.stats.extraction_cache_hits, ds.sensor_count());
         for (p, r) in grid.iter().zip(&out.results) {
-            assert_eq!(
-                r.caps,
-                Miner::new(p.clone()).unwrap().mine(&ds).unwrap().caps
-            );
+            let reference = sequential_reference(&ds, p);
+            assert_eq!(r.caps, reference.caps);
+            assert_eq!(r.delayed, reference.delayed);
         }
 
         // A cold sweep leaves the cache warm for a follow-up solo mine; the
@@ -1645,14 +1613,11 @@ mod tests {
             MiningError::Cancelled
         );
         // The abort left content-keyed states behind; the identical retry
-        // over the same cache must match independent mines exactly.
+        // over the same cache must match the sequential reference exactly.
         assert!(cache.inner.0.lock().unwrap().len() >= 2);
         let retry = Miner::mine_sweep(&ds, &grid, Some(&cache), &CancelToken::never()).unwrap();
         for (p, r) in grid.iter().zip(&retry.results) {
-            assert_eq!(
-                r.caps,
-                Miner::new(p.clone()).unwrap().mine(&ds).unwrap().caps
-            );
+            assert_eq!(r.caps, sequential_reference(&ds, p).caps);
         }
     }
 
@@ -1670,9 +1635,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 
         /// `mine_sweep` over random grids — duplicated, unsorted points
-        /// mixing every parameter axis — matches per-point independent
-        /// mines exactly, both cold and again warm over the cache the cold
-        /// sweep populated.
+        /// mixing every parameter axis — matches the per-point sequential
+        /// reference exactly, both cold and again warm over the cache the
+        /// cold sweep populated.
         #[test]
         fn sweep_equivalence_on_random_grids(
             specs in proptest::collection::vec(
@@ -1680,7 +1645,9 @@ mod tests {
                 1..7,
             ),
         ) {
-            let psis = [3usize, 8, 20, 45];
+            // The fixture's CAPs all have support 60, so ψ = 60 and 61 sit
+            // on either side of the ψ-filter's boundary.
+            let psis = [3usize, 20, 60, 61];
             let etas = [0.05f64, 1.0, 5.0];
             let ds = clustered_dataset(2, 120);
             let grid: Vec<MiningParams> = specs
@@ -1700,7 +1667,7 @@ mod tests {
                 .collect();
             let solos: Vec<MiningResult> = grid
                 .iter()
-                .map(|p| Miner::new(p.clone()).unwrap().mine(&ds).unwrap())
+                .map(|p| sequential_reference(&ds, p))
                 .collect();
             let cache = StateCache::default();
             for pass in 0..2 {

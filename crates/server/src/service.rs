@@ -1238,7 +1238,7 @@ impl MiscelaService {
     ///
     /// On a durable service the registration is snapshotted; a snapshot
     /// failure is swallowed here (the in-memory registration stands) — use
-    /// [`MiscelaService::register_dataset_checked`] when the caller needs
+    /// [`MiscelaService::register_dataset_keyed_in`] when the caller needs
     /// the durable acknowledgment. This legacy path is infallible by
     /// signature, so it is also the one registration path that bypasses
     /// tenant quotas (it serves trusted in-process generators; every
@@ -1249,31 +1249,13 @@ impl MiscelaService {
         summary
     }
 
-    /// Like [`MiscelaService::register_dataset`], but surfaces a durable
-    /// snapshot failure as an error: on `Ok` the registration is on disk
-    /// and survives a crash.
-    pub fn register_dataset_checked(&self, dataset: Dataset) -> Result<DatasetSummary, ApiError> {
-        let scope = Scope::default_tenant(dataset.name());
-        self.check_register_quota(&scope, &dataset)?;
-        let (summary, durable) = self.register_dataset_impl(&scope, dataset, None, 0);
-        durable.map(|()| summary)
-    }
-
-    /// Like [`MiscelaService::register_dataset_checked`], with an optional
-    /// idempotency key: a retry that carries the same key replays the
-    /// original summary (`replayed = true`) instead of re-registering —
-    /// re-registering would bump the revision and invalidate caches twice.
-    pub fn register_dataset_keyed(
-        &self,
-        dataset: Dataset,
-        key: Option<&str>,
-    ) -> Result<(DatasetSummary, bool), ApiError> {
-        let scope = Scope::default_tenant(dataset.name());
-        self.register_dataset_scoped(&scope, dataset, key)
-    }
-
-    /// [`MiscelaService::register_dataset_keyed`] into a tenant's
-    /// namespace.
+    /// Like [`MiscelaService::register_dataset`], into a tenant's
+    /// namespace, under the tenant's quota, and surfacing a durable snapshot
+    /// failure as an error: on `Ok` the registration is on disk and
+    /// survives a crash. A retry that carries the same idempotency key
+    /// replays the original summary (`replayed = true`) instead of
+    /// re-registering — re-registering would bump the revision and
+    /// invalidate caches twice.
     pub fn register_dataset_keyed_in(
         &self,
         tenant: &str,
@@ -1494,23 +1476,15 @@ impl MiscelaService {
         name: &str,
         policy: RetentionPolicy,
     ) -> Result<RetentionSummary, ApiError> {
-        self.set_retention_keyed(name, policy, None).map(|(s, _)| s)
+        self.set_retention_scoped(&Scope::default_tenant(name), policy, None)
+            .map(|(s, _)| s)
     }
 
-    /// Like [`MiscelaService::set_retention`], with an optional idempotency
-    /// key: a retry carrying the same key replays the original summary
-    /// (`replayed = true`) instead of re-applying — a blind retry would
-    /// observe `trimmed_timestamps = 0` and a different revision.
-    pub fn set_retention_keyed(
-        &self,
-        name: &str,
-        policy: RetentionPolicy,
-        key: Option<&str>,
-    ) -> Result<(RetentionSummary, bool), ApiError> {
-        self.set_retention_scoped(&Scope::default_tenant(name), policy, key)
-    }
-
-    /// [`MiscelaService::set_retention_keyed`] in a tenant's namespace.
+    /// [`MiscelaService::set_retention`] in a tenant's namespace, with an
+    /// optional idempotency key: a retry carrying the same key replays the
+    /// original summary (`replayed = true`) instead of re-applying — a
+    /// blind retry would observe `trimmed_timestamps = 0` and a different
+    /// revision.
     pub fn set_retention_keyed_in(
         &self,
         tenant: &str,
@@ -1653,21 +1627,17 @@ impl MiscelaService {
     /// along with any in-flight upload/append session targeting it and its
     /// on-disk durability log.
     pub fn delete_dataset(&self, name: &str) -> Result<(), ApiError> {
-        self.delete_dataset_keyed(name, None).map(|_| ())
+        self.delete_dataset_scoped(&Scope::default_tenant(name), None)
+            .map(|_| ())
     }
 
-    /// Like [`MiscelaService::delete_dataset`], with an optional
-    /// idempotency key: a retry carrying the same key replays the original
-    /// acknowledgment (`replayed = true`) instead of reporting 404 for the
-    /// already-deleted dataset. The delete entry lives only in the
+    /// [`MiscelaService::delete_dataset`] in a tenant's namespace, with an
+    /// optional idempotency key: a retry carrying the same key replays the
+    /// original acknowledgment (`replayed = true`) instead of reporting 404
+    /// for the already-deleted dataset. The delete entry lives only in the
     /// in-memory cache — the durability log is removed with the dataset —
     /// so across a crash a retried delete falls back to 404, which clients
     /// treat as confirmation.
-    pub fn delete_dataset_keyed(&self, name: &str, key: Option<&str>) -> Result<bool, ApiError> {
-        self.delete_dataset_scoped(&Scope::default_tenant(name), key)
-    }
-
-    /// [`MiscelaService::delete_dataset_keyed`] in a tenant's namespace.
     pub fn delete_dataset_keyed_in(
         &self,
         tenant: &str,
@@ -1733,30 +1703,19 @@ impl MiscelaService {
         location_csv_text: &str,
         attribute_csv_text: &str,
     ) -> Result<(), ApiError> {
-        self.begin_upload_keyed(dataset, location_csv_text, attribute_csv_text, None)
-            .map(|_| ())
-    }
-
-    /// Like [`MiscelaService::begin_upload`], with an optional idempotency
-    /// key: a retry carrying the same key acknowledges without resetting
-    /// the session (`replayed = true`) — a blind retried begin would
-    /// discard every chunk accepted since the original.
-    pub fn begin_upload_keyed(
-        &self,
-        dataset: &str,
-        location_csv_text: &str,
-        attribute_csv_text: &str,
-        key: Option<&str>,
-    ) -> Result<bool, ApiError> {
         self.begin_upload_scoped(
             &Scope::default_tenant(dataset),
             location_csv_text,
             attribute_csv_text,
-            key,
+            None,
         )
+        .map(|_| ())
     }
 
-    /// [`MiscelaService::begin_upload_keyed`] in a tenant's namespace.
+    /// [`MiscelaService::begin_upload`] in a tenant's namespace, with an
+    /// optional idempotency key: a retry carrying the same key acknowledges
+    /// without resetting the session (`replayed = true`) — a blind retried
+    /// begin would discard every chunk accepted since the original.
     pub fn begin_upload_keyed_in(
         &self,
         tenant: &str,
@@ -1838,23 +1797,14 @@ impl MiscelaService {
     /// Completes an upload: assembles the chunks, builds the dataset and
     /// registers it. Returns the dataset summary and the upload duration.
     pub fn finish_upload(&self, dataset: &str) -> Result<(DatasetSummary, Duration), ApiError> {
-        self.finish_upload_keyed(dataset, None)
+        self.finish_upload_scoped(&Scope::default_tenant(dataset), None)
             .map(|(s, d, _)| (s, d))
     }
 
-    /// Like [`MiscelaService::finish_upload`], with an optional idempotency
-    /// key: a retry carrying the same key replays the original summary
-    /// (`replayed = true`) instead of reporting "no upload in progress" —
-    /// the original finish consumed the session.
-    pub fn finish_upload_keyed(
-        &self,
-        dataset: &str,
-        key: Option<&str>,
-    ) -> Result<(DatasetSummary, Duration, bool), ApiError> {
-        self.finish_upload_scoped(&Scope::default_tenant(dataset), key)
-    }
-
-    /// [`MiscelaService::finish_upload_keyed`] in a tenant's namespace.
+    /// [`MiscelaService::finish_upload`] in a tenant's namespace, with an
+    /// optional idempotency key: a retry carrying the same key replays the
+    /// original summary (`replayed = true`) instead of reporting "no upload
+    /// in progress" — the original finish consumed the session.
     pub fn finish_upload_keyed_in(
         &self,
         tenant: &str,
@@ -1913,23 +1863,15 @@ impl MiscelaService {
     /// `location.csv`/`attribute.csv` are sent — the sensors must already
     /// exist.
     pub fn begin_append(&self, dataset: &str) -> Result<(), ApiError> {
-        self.begin_append_keyed(dataset, None).map(|_| ())
+        self.begin_append_scoped(&Scope::default_tenant(dataset), None)
+            .map(|_| ())
     }
 
-    /// Like [`MiscelaService::begin_append`], with an optional idempotency
-    /// key, returning the session id the client must echo on every
-    /// sequenced chunk. A retry carrying the same key replays the original
-    /// session id (`replayed = true`) instead of reporting a conflict with
-    /// the session it itself opened.
-    pub fn begin_append_keyed(
-        &self,
-        dataset: &str,
-        key: Option<&str>,
-    ) -> Result<BeginAppendOutcome, ApiError> {
-        self.begin_append_scoped(&Scope::default_tenant(dataset), key)
-    }
-
-    /// [`MiscelaService::begin_append_keyed`] in a tenant's namespace.
+    /// [`MiscelaService::begin_append`] in a tenant's namespace, with an
+    /// optional idempotency key, returning the session id the client must
+    /// echo on every sequenced chunk. A retry carrying the same key replays
+    /// the original session id (`replayed = true`) instead of reporting a
+    /// conflict with the session it itself opened.
     pub fn begin_append_keyed_in(
         &self,
         tenant: &str,
@@ -2085,9 +2027,10 @@ impl MiscelaService {
         Ok(missing)
     }
 
-    /// Sequenced [`MiscelaService::append_chunk`]: the client numbers each
-    /// chunk delivery 1, 2, 3… within the session and echoes the session id
-    /// from [`MiscelaService::begin_append_keyed`]. This makes chunk
+    /// Sequenced [`MiscelaService::append_chunk_in`]: the client numbers
+    /// each chunk delivery 1, 2, 3… within the session and echoes the
+    /// session id from [`MiscelaService::begin_append_keyed_in`]. This makes
+    /// chunk
     /// delivery exactly-once under loss, duplication and reordering:
     ///
     /// * `seq` at or below the acked watermark → the chunk was already
@@ -2099,17 +2042,6 @@ impl MiscelaService {
     /// * a session id other than the open session's → the session is stale
     ///   (the server restarted it, or a registration dropped it); typed
     ///   412 telling the client which session is current.
-    pub fn append_chunk_seq(
-        &self,
-        dataset: &str,
-        session_id: u64,
-        seq: u64,
-        chunk: &Chunk,
-    ) -> Result<ChunkAck, ApiError> {
-        self.append_chunk_seq_scoped(&Scope::default_tenant(dataset), session_id, seq, chunk)
-    }
-
-    /// [`MiscelaService::append_chunk_seq`] in a tenant's namespace.
     pub fn append_chunk_seq_in(
         &self,
         tenant: &str,
@@ -2498,12 +2430,7 @@ impl MiscelaService {
         dataset: &str,
         params: &MiningParams,
     ) -> Result<MineOutcome, ApiError> {
-        self.mine_scoped(
-            &Scope::new(tenant, dataset)?,
-            params,
-            None,
-            &CancelToken::never(),
-        )
+        self.mine_cancellable_in(tenant, dataset, params, None, &CancelToken::never())
     }
 
     /// Like [`MiscelaService::mine`], with a wall-clock deadline: the
@@ -2563,89 +2490,14 @@ impl MiscelaService {
         params
             .validate()
             .map_err(|e| ApiError::BadRequest(e.to_string()))?;
-        // One registry snapshot drives both the cache key and the content
-        // that is mined: deriving the revision and the dataset Arc from the
-        // same `DatasetEntry` means a concurrent append can never make this
-        // request cache one revision's CAPs under another revision's key
-        // (its bumped entry simply is not this snapshot). Datasets whose
-        // series are not resident (a reloaded store) have no entry but
-        // still resolve a revision through their store record, so their
-        // persisted results can be served from the cache without a
-        // re-upload.
-        let entry = self.entry(scope).ok();
-        let (revision, trimmed) = match &entry {
-            Some(e) => (e.revision, e.dataset.trimmed() as u64),
-            None => self.stored_version(scope)?,
-        };
-        let key = CacheKey::for_state(&scope.key, revision, trimmed, params);
-        if let Some(caps) = self.store.cache.get(&key) {
-            let result = MiningResult {
-                caps,
-                delayed: Vec::new(),
-                report: Default::default(),
-            };
-            return Ok(MineOutcome {
-                result,
-                cache_hit: true,
-                revision,
-                elapsed: started.elapsed(),
-            });
-        }
-        let entry = entry.ok_or_else(|| {
-            ApiError::NotFound(format!(
-                "dataset {:?} is not resident; re-upload it",
-                scope.name
-            ))
-        })?;
-        // A cache miss does real work: hold a cost-weighted admission
-        // permit for the rest of the request, shedding (typed, retryable)
-        // instead of queueing without bound.
-        let cost = AdmissionController::mine_cost(&entry.dataset);
-        let _permit = self.admit_scoped(scope, cost, deadline)?;
-        // An identical request may have filled the cache while this one
-        // waited for admission; serving it now keeps the work bounded.
-        if let Some(caps) = self.store.cache.get(&key) {
-            let result = MiningResult {
-                caps,
-                delayed: Vec::new(),
-                report: Default::default(),
-            };
-            return Ok(MineOutcome {
-                result,
-                cache_hit: true,
-                revision,
-                elapsed: started.elapsed(),
-            });
-        }
-        let miner = Miner::new(params.clone()).map_err(|e| ApiError::BadRequest(e.to_string()))?;
-        // The full-result cache missed, but the per-series extraction cache
-        // still lets unchanged series skip steps (1)+(2) — the common case
-        // when only search-side parameters (ψ, η, μ) were tweaked — and
-        // appended series resume from their cached prefix states instead of
-        // re-extracting from scratch.
-        let extraction = self.extraction_for(scope);
-        let token = match deadline {
-            Some(d) => cancel.with_deadline(d),
-            None => cancel.clone(),
-        };
-        let result = miner
-            .mine_cancellable(&entry.dataset, Some(&*extraction), &token)
-            .map_err(|e| match e {
-                MiningError::Cancelled => {
-                    ApiError::DeadlineExceeded(format!("mine of {:?} was cancelled", scope.name))
-                }
-                MiningError::DeadlineExceeded => ApiError::DeadlineExceeded(format!(
-                    "mine of {:?} passed its deadline before completing",
-                    scope.name
-                )),
-                other => ApiError::Internal(other.to_string()),
-            })?;
-        self.store.cache.put(&key, &result.caps);
+        let mut served = self.serve_grid(scope, &[params], deadline, cancel, "mine", started)?;
+        let mut result = served.results.pop().expect("one result per point");
+        served.stats.copy_cache_counters(&mut result.report);
         Ok(MineOutcome {
             result,
-            cache_hit: false,
-            revision: entry.revision,
-            elapsed: started.elapsed(),
+            cache_hit: served.cache_hits[0],
+            revision: served.revision,
+            elapsed: served.elapsed,
         })
     }
 
@@ -2653,18 +2505,18 @@ impl MiscelaService {
     /// scheduled job ([`Miner::mine_sweep`]) instead of one request per
     /// point.
     ///
-    /// The serving path mirrors [`MiscelaService::mine_cancellable`], batch
-    /// style: a keyed retry replays the original response body; duplicate
-    /// grid points are deduplicated server-side; each distinct point is
-    /// probed against the revision-aware result cache; and only the misses
-    /// are mined — under a **single** admission permit charged at the
-    /// per-mine cost scaled by the number of points actually mined (an
-    /// all-hit sweep is admission-free, like a solo cache hit). Freshly
-    /// mined points are written back to the result cache individually, so
-    /// a later solo mine of any grid point is a cache hit.
+    /// A solo [`MiscelaService::mine_cancellable`] is the one-point case of
+    /// the same serving path: a keyed retry replays the original response
+    /// body; duplicate grid points are deduplicated server-side; each
+    /// distinct point is probed against the revision-aware result cache;
+    /// and only the misses are mined — under a **single** admission permit
+    /// charged at the per-mine cost scaled by the number of points actually
+    /// mined (an all-hit sweep is admission-free). Freshly mined points are
+    /// written back to the result cache individually, so a later solo mine
+    /// of any grid point is a cache hit.
     ///
     /// The caller is responsible for serializing the fresh outcome and
-    /// handing the body to [`MiscelaService::remember_sweep`] so retries
+    /// handing the body to [`MiscelaService::remember_sweep_in`] so retries
     /// can replay it.
     pub fn mine_sweep(
         &self,
@@ -2720,11 +2572,6 @@ impl MiscelaService {
             p.validate()
                 .map_err(|e| ApiError::BadRequest(e.to_string()))?;
         }
-        let entry = self.entry(scope).ok();
-        let (revision, trimmed) = match &entry {
-            Some(e) => (e.revision, e.dataset.trimmed() as u64),
-            None => self.stored_version(scope)?,
-        };
         // Server-side dedup: repeated grid points cost one cache probe and
         // at most one mine, and always share one result.
         let mut unique: Vec<&MiningParams> = Vec::new();
@@ -2739,6 +2586,52 @@ impl MiscelaService {
                 point_of.push(idx);
             }
         }
+        let mut served = self.serve_grid(scope, &unique, deadline, cancel, "sweep", started)?;
+        // The miner only saw the cache-missing subset of the grid; report
+        // the request's true shape (work counters stay as performed).
+        served.stats.requested_points = points.len();
+        served.stats.unique_points = unique.len();
+        if unique.len() < points.len() {
+            served.cache_hits = point_of.iter().map(|&ui| served.cache_hits[ui]).collect();
+            served.results = point_of
+                .iter()
+                .map(|&ui| served.results[ui].clone())
+                .collect();
+        }
+        Ok(SweepServed::Fresh(served))
+    }
+
+    /// The one serving path behind every mine request, solo or sweep, over
+    /// the request's distinct grid points: probe the revision-aware result
+    /// cache per point, admit the cache-missing remainder as **one** charge
+    /// at the per-mine cost times the points missing, re-probe, mine what
+    /// is still missing as one [`Miner::mine_sweep`], and write each fresh
+    /// result back. A request whose points all hit never touches admission
+    /// or the miner. `results[i]` and `cache_hits[i]` answer `unique[i]`;
+    /// `what` names the request in its typed deadline errors.
+    fn serve_grid(
+        &self,
+        scope: &Scope,
+        unique: &[&MiningParams],
+        deadline: Option<Instant>,
+        cancel: &CancelToken,
+        what: &str,
+        started: Instant,
+    ) -> Result<SweepOutcome, ApiError> {
+        // One registry snapshot drives both the cache key and the content
+        // that is mined: deriving the revision and the dataset Arc from the
+        // same `DatasetEntry` means a concurrent append can never make this
+        // request cache one revision's CAPs under another revision's key
+        // (its bumped entry simply is not this snapshot). Datasets whose
+        // series are not resident (a reloaded store) have no entry but
+        // still resolve a revision through their store record, so their
+        // persisted results can be served from the cache without a
+        // re-upload.
+        let entry = self.entry(scope).ok();
+        let (revision, trimmed) = match &entry {
+            Some(e) => (e.revision, e.dataset.trimmed() as u64),
+            None => self.stored_version(scope)?,
+        };
         let probe = |i: usize| -> Option<MiningResult> {
             let ck = CacheKey::for_state(&scope.key, revision, trimmed, unique[i]);
             self.store.cache.get(&ck).map(|caps| MiningResult {
@@ -2748,7 +2641,7 @@ impl MiscelaService {
             })
         };
         let mut results: Vec<Option<MiningResult>> = (0..unique.len()).map(probe).collect();
-        let was_cached: Vec<bool> = results.iter().map(|r| r.is_some()).collect();
+        let mut cache_hits = vec![true; unique.len()];
         let missing: Vec<usize> = (0..unique.len())
             .filter(|&i| results[i].is_none())
             .collect();
@@ -2760,24 +2653,27 @@ impl MiscelaService {
                     scope.name
                 ))
             })?;
-            // One admission charge for the whole job, scaled by the grid
-            // points that actually need mining.
+            // A cache miss does real work: hold one cost-weighted admission
+            // permit for the rest of the request, scaled by the points that
+            // need mining, shedding (typed, retryable) instead of queueing
+            // without bound.
             let cost =
                 AdmissionController::mine_cost(&entry.dataset).saturating_mul(missing.len() as u64);
             let _permit = self.admit_scoped(scope, cost, deadline)?;
             // Identical requests may have filled entries while this one
-            // waited for admission.
+            // waited for admission; serving them now keeps the work bounded.
             let still: Vec<usize> = missing
                 .into_iter()
-                .filter(|&i| match probe(i) {
-                    Some(result) => {
-                        results[i] = Some(result);
-                        false
-                    }
-                    None => true,
+                .filter(|&i| {
+                    results[i] = probe(i);
+                    results[i].is_none()
                 })
                 .collect();
             if !still.is_empty() {
+                // The per-series extraction cache still lets unchanged
+                // series skip steps (1)+(2) — the common case when only
+                // search-side parameters (ψ, η, μ) were tweaked — and
+                // appended series resume from their cached prefix states.
                 let grid: Vec<MiningParams> = still.iter().map(|&i| unique[i].clone()).collect();
                 let extraction = self.extraction_for(scope);
                 let token = match deadline {
@@ -2787,11 +2683,11 @@ impl MiscelaService {
                 let out = Miner::mine_sweep(&entry.dataset, &grid, Some(&*extraction), &token)
                     .map_err(|e| match e {
                         MiningError::Cancelled => ApiError::DeadlineExceeded(format!(
-                            "sweep of {:?} was cancelled",
+                            "{what} of {:?} was cancelled",
                             scope.name
                         )),
                         MiningError::DeadlineExceeded => ApiError::DeadlineExceeded(format!(
-                            "sweep of {:?} passed its deadline before completing",
+                            "{what} of {:?} passed its deadline before completing",
                             scope.name
                         )),
                         other => ApiError::Internal(other.to_string()),
@@ -2801,40 +2697,27 @@ impl MiscelaService {
                     let ck = CacheKey::for_state(&scope.key, revision, trimmed, unique[i]);
                     self.store.cache.put(&ck, &result.caps);
                     results[i] = Some(result);
+                    cache_hits[i] = false;
                 }
             }
         }
-        // The miner only saw the cache-missing subset of the grid; report
-        // the request's true shape (work counters stay as performed).
-        stats.requested_points = points.len();
-        stats.unique_points = unique.len();
-        Ok(SweepServed::Fresh(SweepOutcome {
-            cache_hits: point_of.iter().map(|&ui| was_cached[ui]).collect(),
-            results: point_of
-                .iter()
-                .map(|&ui| results[ui].clone().expect("every unique point resolved"))
+        Ok(SweepOutcome {
+            results: results
+                .into_iter()
+                .map(|r| r.expect("every unique point resolved"))
                 .collect(),
+            cache_hits,
             stats,
             revision,
             elapsed: started.elapsed(),
-        }))
+        })
     }
 
-    /// Caches the serialized response body of a keyed sweep so an
-    /// identical retry replays it verbatim ([`ReplayOutcome::Sweep`];
-    /// memory-only — excluded from snapshot persistence). No-op without a
-    /// key.
-    pub fn remember_sweep(&self, key: Option<&str>, dataset: &str, body: String) {
-        self.remember(
-            key,
-            &Scope::default_tenant(dataset),
-            ReplayOutcome::Sweep { body },
-        );
-    }
-
-    /// [`MiscelaService::remember_sweep`] in a tenant's namespace. An
-    /// invalid tenant name is a no-op (the serving call already rejected
-    /// it).
+    /// Caches the serialized response body of a keyed sweep in a tenant's
+    /// namespace so an identical retry replays it verbatim
+    /// ([`ReplayOutcome::Sweep`]; memory-only — excluded from snapshot
+    /// persistence). No-op without a key; an invalid tenant name is a
+    /// no-op too (the serving call already rejected it).
     pub fn remember_sweep_in(&self, tenant: &str, dataset: &str, key: Option<&str>, body: String) {
         if let Ok(scope) = Scope::new(tenant, dataset) {
             self.remember(key, &scope, ReplayOutcome::Sweep { body });

@@ -186,11 +186,14 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document.
+    /// Parses a JSON document. Arrays and objects nested deeper than
+    /// [`MAX_NESTING`] are rejected with a [`JsonError`] instead of
+    /// recursing until the stack overflows.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.parse_value()?;
@@ -294,6 +297,11 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// documents the system writes nest fewer than ten levels; the cap only
+/// bounds the parser's recursion on hostile input.
+pub const MAX_NESTING: usize = 256;
+
 /// A JSON parse error with byte position.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {
@@ -323,6 +331,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -357,8 +367,8 @@ impl Parser<'_> {
             Some(b't') => self.parse_keyword("true", Json::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             Some(c) => Err(JsonError::new(
                 self.pos,
@@ -366,6 +376,23 @@ impl Parser<'_> {
             )),
             None => Err(JsonError::new(self.pos, "unexpected end of input")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_NESTING {
+            return Err(JsonError::new(
+                self.pos,
+                format!("nesting deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, kw: &str, value: Json) -> Result<Json, JsonError> {
@@ -582,6 +609,23 @@ mod tests {
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"k\":".repeat(n), "}".repeat(n));
+        assert!(Json::parse(&arrays(MAX_NESTING)).is_ok());
+        assert!(Json::parse(&objects(MAX_NESTING)).is_ok());
+        // The error points at the opener one level past the cap.
+        for (doc, opener_len) in [(arrays(MAX_NESTING + 1), 1), (objects(MAX_NESTING + 1), 5)] {
+            let err = Json::parse(&doc).unwrap_err();
+            assert_eq!(err.position, MAX_NESTING * opener_len);
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        // 100k unterminated opens (200 KB) used to overflow the stack.
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.position, MAX_NESTING);
     }
 
     #[test]
