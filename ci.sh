@@ -39,19 +39,11 @@ step "bench_snapshot smoke (schema-8 JSON emitted)"
 snapshot_out="$(mktemp)"
 MISCELA_BENCH_SMOKE=1 cargo run --release -q -p miscela-bench --bin bench_snapshot -- --out "$snapshot_out" >/dev/null
 grep -q '"schema": 8' "$snapshot_out" || { echo "bench_snapshot did not emit schema-8 JSON" >&2; rm -f "$snapshot_out"; exit 1; }
-grep -q '"extraction_ns"' "$snapshot_out" || { echo "bench_snapshot is missing extraction_ns" >&2; rm -f "$snapshot_out"; exit 1; }
-grep -q '"append_remine_ns"' "$snapshot_out" || { echo "bench_snapshot is missing append_remine_ns" >&2; rm -f "$snapshot_out"; exit 1; }
-grep -q '"append_retained_ns"' "$snapshot_out" || { echo "bench_snapshot is missing append_retained_ns" >&2; rm -f "$snapshot_out"; exit 1; }
-grep -q '"recovery_replay_ns"' "$snapshot_out" || { echo "bench_snapshot is missing recovery_replay_ns" >&2; rm -f "$snapshot_out"; exit 1; }
-grep -q '"completed_p99_ns"' "$snapshot_out" || { echo "bench_snapshot is missing the overload summary" >&2; rm -f "$snapshot_out"; exit 1; }
-grep -q '"shed_rate"' "$snapshot_out" || { echo "bench_snapshot is missing shed_rate" >&2; rm -f "$snapshot_out"; exit 1; }
-grep -q '"duplicate_suppressions"' "$snapshot_out" || { echo "bench_snapshot is missing the chaos summary" >&2; rm -f "$snapshot_out"; exit 1; }
-grep -q '"goodput"' "$snapshot_out" || { echo "bench_snapshot is missing chaos goodput" >&2; rm -f "$snapshot_out"; exit 1; }
-grep -q '"sweep_batch_ns"' "$snapshot_out" || { echo "bench_snapshot is missing sweep_batch_ns" >&2; rm -f "$snapshot_out"; exit 1; }
-grep -q '"sweep_loop_ns"' "$snapshot_out" || { echo "bench_snapshot is missing sweep_loop_ns" >&2; rm -f "$snapshot_out"; exit 1; }
-grep -q '"contended_wall_ns"' "$snapshot_out" || { echo "bench_snapshot is missing the sharded comparison" >&2; rm -f "$snapshot_out"; exit 1; }
-grep -q '"sharded_wall_ns"' "$snapshot_out" || { echo "bench_snapshot is missing sharded_wall_ns" >&2; rm -f "$snapshot_out"; exit 1; }
-grep -q '"watch_wakeup_p99_ns"' "$snapshot_out" || { echo "bench_snapshot is missing watch_wakeup_p99_ns" >&2; rm -f "$snapshot_out"; exit 1; }
+for key in extraction_ns append_remine_ns append_retained_ns recovery_replay_ns completed_p99_ns \
+    shed_rate duplicate_suppressions goodput sweep_batch_ns sweep_loop_ns \
+    contended_wall_ns sharded_wall_ns watch_wakeup_p99_ns; do
+    grep -q "\"$key\"" "$snapshot_out" || { echo "bench_snapshot is missing $key" >&2; rm -f "$snapshot_out"; exit 1; }
+done
 rm -f "$snapshot_out"
 
 step "load-generator smoke (bounded overload storm, typed outcomes only)"

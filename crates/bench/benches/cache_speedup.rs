@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use miscela_bench::{santander_bench, santander_params};
-use miscela_server::MiscelaService;
+use miscela_server::{Call, MiscelaService};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
                 svc
             },
             |svc| {
-                let out = svc.mine("santander", &params).unwrap();
+                let out = svc.mine(&Call::default(), "santander", &params).unwrap();
                 assert!(!out.cache_hit);
                 out.result.caps.len()
             },
@@ -34,9 +34,9 @@ fn bench(c: &mut Criterion) {
         let svc = MiscelaService::new();
         svc.register_dataset(santander_bench());
         let params = santander_params();
-        let _ = svc.mine("santander", &params).unwrap();
+        let _ = svc.mine(&Call::default(), "santander", &params).unwrap();
         b.iter(|| {
-            let out = svc.mine("santander", &params).unwrap();
+            let out = svc.mine(&Call::default(), "santander", &params).unwrap();
             assert!(out.cache_hit);
             out.result.caps.len()
         });

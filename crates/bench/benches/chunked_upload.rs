@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use miscela_bench::santander_bench;
 use miscela_csv::{split_into_chunks, DatasetWriter};
-use miscela_server::MiscelaService;
+use miscela_server::{Call, MiscelaService};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
@@ -34,11 +34,12 @@ fn bench(c: &mut Criterion) {
             |b, &chunk_lines| {
                 b.iter(|| {
                     let svc = MiscelaService::new();
-                    svc.begin_upload("bench", &locations, &attributes).unwrap();
+                    svc.begin_upload(&Call::default(), "bench", &locations, &attributes)
+                        .unwrap();
                     for chunk in split_into_chunks(&data, chunk_lines.min(lines + 1)) {
-                        svc.upload_chunk("bench", &chunk).unwrap();
+                        svc.upload_chunk(&Call::default(), "bench", &chunk).unwrap();
                     }
-                    let (summary, _) = svc.finish_upload("bench").unwrap();
+                    let (summary, _, _) = svc.finish_upload(&Call::default(), "bench").unwrap();
                     summary.records
                 });
             },

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use miscela_bench::{santander_bench, santander_params};
 use miscela_csv::{split_into_chunks, DatasetWriter, DEFAULT_CHUNK_LINES};
-use miscela_server::MiscelaService;
+use miscela_server::{Call, MiscelaService};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
@@ -25,14 +25,15 @@ fn bench(c: &mut Criterion) {
     group.bench_function("upload_mine_requery", |b| {
         b.iter(|| {
             let svc = MiscelaService::new();
-            svc.begin_upload("santander", &locations, &attributes)
+            svc.begin_upload(&Call::default(), "santander", &locations, &attributes)
                 .unwrap();
             for chunk in split_into_chunks(&data, DEFAULT_CHUNK_LINES) {
-                svc.upload_chunk("santander", &chunk).unwrap();
+                svc.upload_chunk(&Call::default(), "santander", &chunk)
+                    .unwrap();
             }
-            svc.finish_upload("santander").unwrap();
-            let first = svc.mine("santander", &params).unwrap();
-            let second = svc.mine("santander", &params).unwrap();
+            svc.finish_upload(&Call::default(), "santander").unwrap();
+            let first = svc.mine(&Call::default(), "santander", &params).unwrap();
+            let second = svc.mine(&Call::default(), "santander", &params).unwrap();
             assert!(second.cache_hit);
             first.result.caps.len()
         });

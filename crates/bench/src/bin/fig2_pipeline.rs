@@ -4,7 +4,7 @@
 
 use miscela_bench::{paper_scale_requested, santander, santander_params};
 use miscela_csv::{split_into_chunks, DatasetWriter, DEFAULT_CHUNK_LINES};
-use miscela_server::MiscelaService;
+use miscela_server::{Call, MiscelaService};
 use std::time::Instant;
 
 fn main() {
@@ -24,14 +24,15 @@ fn main() {
 
     let svc = MiscelaService::new();
     let t1 = Instant::now();
-    svc.begin_upload("santander", &locations, &attributes)
+    svc.begin_upload(&Call::default(), "santander", &locations, &attributes)
         .unwrap();
     let chunks = split_into_chunks(&data, DEFAULT_CHUNK_LINES);
     let n_chunks = chunks.len();
     for chunk in chunks {
-        svc.upload_chunk("santander", &chunk).unwrap();
+        svc.upload_chunk(&Call::default(), "santander", &chunk)
+            .unwrap();
     }
-    let (summary, _) = svc.finish_upload("santander").unwrap();
+    let (summary, _, _) = svc.finish_upload(&Call::default(), "santander").unwrap();
     println!(
         "chunked upload:       {:8.1} ms ({n_chunks} chunks, {} sensors, {} records)",
         t1.elapsed().as_secs_f64() * 1e3,
@@ -41,7 +42,7 @@ fn main() {
 
     let params = santander_params();
     let t2 = Instant::now();
-    let first = svc.mine("santander", &params).unwrap();
+    let first = svc.mine(&Call::default(), "santander", &params).unwrap();
     println!(
         "mining (cold):        {:8.1} ms ({}; extraction {:.1} ms, spatial {:.1} ms, search {:.1} ms)",
         t2.elapsed().as_secs_f64() * 1e3,
@@ -52,7 +53,7 @@ fn main() {
     );
 
     let t3 = Instant::now();
-    let second = svc.mine("santander", &params).unwrap();
+    let second = svc.mine(&Call::default(), "santander", &params).unwrap();
     println!(
         "re-query (cached):    {:8.3} ms (cache hit: {})",
         t3.elapsed().as_secs_f64() * 1e3,

@@ -33,7 +33,7 @@
 use miscela_bench::overload::{run_load, run_sharded_comparison, LoadConfig, SubscriberConfig};
 use miscela_bench::{santander_bench, santander_params};
 use miscela_csv::DatasetWriter;
-use miscela_server::{AdmissionConfig, MiscelaService, DEFAULT_SHARDS};
+use miscela_server::{AdmissionConfig, Call, MiscelaService, DEFAULT_SHARDS};
 use miscela_store::Json;
 use std::time::Duration;
 
@@ -90,6 +90,7 @@ fn main() {
         retry_after_ms: 50,
     });
     svc.upload_documents(
+        &Call::default(),
         "santander",
         &writer.data_csv(&dataset),
         &writer.location_csv(&dataset),

@@ -15,9 +15,9 @@
 //! error fails the run — the harness doubles as a check that the serving
 //! path never leaks panics or untyped errors under pressure.
 
-use miscela_core::{CancelToken, MiningParams};
+use miscela_core::MiningParams;
 use miscela_model::{Dataset, DatasetBuilder, GeoPoint, SensorId, TimeGrid, Timestamp};
-use miscela_server::{ApiError, MiscelaService, SweepServed};
+use miscela_server::{ApiError, Call, MiscelaService, SweepServed};
 use miscela_store::Json;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -177,7 +177,7 @@ pub fn run_load(
                             .map(|v| params.clone().with_psi(params.psi + v))
                             .collect();
                         let t = Instant::now();
-                        svc.mine_sweep(dataset, &points, deadline, &CancelToken::never(), None)
+                        svc.mine_sweep(&Call::default().with_deadline(deadline), dataset, &points)
                             .map(|served| match served {
                                 SweepServed::Replayed(_) => {
                                     unreachable!("keyless sweep cannot replay")
@@ -187,7 +187,7 @@ pub fn run_load(
                                 }
                             })
                     } else {
-                        svc.mine_with_deadline(dataset, &params, deadline)
+                        svc.mine(&Call::default().with_deadline(deadline), dataset, &params)
                             .map(|out| (out.cache_hit, out.elapsed))
                     };
                     match outcome {
@@ -374,7 +374,11 @@ pub fn run_subscriber_storm(svc: &MiscelaService, cfg: &SubscriberConfig) -> Sub
                             ready.fetch_add(1, Ordering::SeqCst);
                         }
                         let deadline = Instant::now() + cfg.watch_deadline;
-                        match svc.watch(ds.name(), last, deadline) {
+                        match svc.watch(
+                            &Call::default().with_deadline(Some(deadline)),
+                            ds.name(),
+                            last,
+                        ) {
                             Ok(out) => {
                                 if out.changed {
                                     let woke = Instant::now();
@@ -535,6 +539,7 @@ mod tests {
             ..AdmissionConfig::default()
         });
         svc.upload_documents(
+            &Call::default(),
             "santander",
             &writer.data_csv(&ds),
             &writer.location_csv(&ds),

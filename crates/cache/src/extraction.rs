@@ -79,6 +79,19 @@ impl ExtractionCacheStats {
     }
 }
 
+/// Summing: the aggregate over several caches (every dataset's, or one
+/// tenant's) is the field-wise sum.
+impl std::ops::AddAssign for ExtractionCacheStats {
+    fn add_assign(&mut self, other: ExtractionCacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.prefix_hits += other.prefix_hits;
+        self.prefix_misses += other.prefix_misses;
+        self.entries += other.entries;
+        self.evicted += other.evicted;
+    }
+}
+
 /// A thread-safe, capacity-bounded cache from [`ExtractionKey`] to
 /// [`ExtractionState`], evicting the least recently inserted entry.
 ///

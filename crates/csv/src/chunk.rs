@@ -11,6 +11,7 @@
 
 use crate::data_csv::{self, DataRow};
 use crate::error::CsvError;
+use std::collections::BTreeMap;
 
 /// The paper's chunk size: 10,000 lines per chunk.
 pub const DEFAULT_CHUNK_LINES: usize = 10_000;
@@ -55,11 +56,13 @@ pub fn split_into_chunks(content: &str, chunk_lines: usize) -> Vec<Chunk> {
 ///
 /// Chunks may arrive in any order; each chunk is parsed on receipt so that a
 /// malformed chunk is rejected immediately (and can be re-sent) instead of
-/// failing the whole upload at the end.
+/// failing the whole upload at the end. Received chunks are kept by index,
+/// so the assembler's memory follows what arrived, never the announced
+/// `total`.
 #[derive(Debug, Default)]
 pub struct ChunkedUploader {
     expected_total: Option<usize>,
-    received: Vec<Option<Vec<DataRow>>>,
+    received: BTreeMap<usize, Vec<DataRow>>,
     rows_received: usize,
 }
 
@@ -78,10 +81,7 @@ impl ChunkedUploader {
             });
         }
         match self.expected_total {
-            None => {
-                self.expected_total = Some(chunk.total);
-                self.received.resize(chunk.total, None);
-            }
+            None => self.expected_total = Some(chunk.total),
             Some(t) if t != chunk.total => {
                 return Err(CsvError::BadHeader {
                     file: "data.csv",
@@ -92,23 +92,17 @@ impl ChunkedUploader {
         }
         let rows = data_csv::parse_document(&chunk.content)?;
         let n = rows.len();
-        if self.received[chunk.index].is_none() {
-            self.rows_received += n;
-        } else {
-            // Re-sent chunk replaces the previous copy.
-            self.rows_received -= self.received[chunk.index]
-                .as_ref()
-                .map(|r| r.len())
-                .unwrap_or(0);
-            self.rows_received += n;
+        // A re-sent chunk replaces the previous copy.
+        if let Some(previous) = self.received.insert(chunk.index, rows) {
+            self.rows_received -= previous.len();
         }
-        self.received[chunk.index] = Some(rows);
+        self.rows_received += n;
         Ok(n)
     }
 
     /// Number of chunks received so far.
     pub fn chunks_received(&self) -> usize {
-        self.received.iter().filter(|c| c.is_some()).count()
+        self.received.len()
     }
 
     /// Number of rows received so far.
@@ -118,20 +112,13 @@ impl ChunkedUploader {
 
     /// Whether every expected chunk has arrived.
     pub fn is_complete(&self) -> bool {
-        match self.expected_total {
-            None => false,
-            Some(t) => self.chunks_received() == t,
-        }
+        self.expected_total.is_some() && self.missing_count() == 0
     }
 
-    /// Missing chunk indices.
-    pub fn missing(&self) -> Vec<usize> {
-        self.received
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_none())
-            .map(|(i, _)| i)
-            .collect()
+    /// Number of chunks still missing (0 before the first chunk announces
+    /// the total).
+    pub fn missing_count(&self) -> usize {
+        self.expected_total.unwrap_or(0) - self.received.len()
     }
 
     /// Consumes the assembler, returning all rows in chunk order. Errors when
@@ -140,11 +127,15 @@ impl ChunkedUploader {
         if !self.is_complete() {
             return Err(CsvError::BadHeader {
                 file: "data.csv",
-                found: format!("upload incomplete, missing chunks {:?}", self.missing()),
+                found: format!(
+                    "upload incomplete, {} of {} chunks missing",
+                    self.missing_count(),
+                    self.expected_total.unwrap_or(0)
+                ),
             });
         }
         let mut all = Vec::with_capacity(self.rows_received);
-        for chunk in self.received.into_iter().flatten() {
+        for chunk in self.received.into_values() {
             all.extend(chunk);
         }
         Ok(all)
@@ -215,7 +206,7 @@ mod tests {
         let mut up = ChunkedUploader::new();
         up.accept(&chunks[2]).unwrap();
         assert!(!up.is_complete());
-        assert_eq!(up.missing(), vec![0, 1]);
+        assert_eq!(up.missing_count(), 2);
         up.accept(&chunks[0]).unwrap();
         up.accept(&chunks[1]).unwrap();
         // Resend a chunk: row count must not double-count.

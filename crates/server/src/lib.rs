@@ -17,13 +17,16 @@
 //!   piece of per-dataset state (registry, caches, sessions, durability,
 //!   watch sequence) keyed by `tenant/dataset` and hashed into independent
 //!   shards with per-shard locks, plus per-tenant quotas and stats;
-//! * [`service`] — [`service::MiscelaService`]: a stateless facade over the
-//!   sharded store — dataset upload (including the 10,000-line chunked
-//!   `data.csv` protocol), dataset registry backed by the document store,
-//!   mining with the parameter-keyed result cache, result retrieval, and the
-//!   `watch` long-poll feed;
-//! * [`router`] — dispatches requests to the service and serializes responses
-//!   as JSON, like the original URL configuration did;
+//! * [`call`] — [`Call`], the per-request context (tenant, idempotency
+//!   key, deadline, cancel token) every service operation takes;
+//! * [`service`] — [`service::MiscelaService`]: a facade over the sharded
+//!   store with one method per operation — dataset upload (including the
+//!   10,000-line chunked `data.csv` protocol), dataset registry backed by
+//!   the document store, mining with the parameter-keyed result cache,
+//!   result retrieval, and the `watch` long-poll feed;
+//! * [`router`] — builds one [`Call`] per request, dispatches it to the
+//!   service and serializes responses as JSON, like the original URL
+//!   configuration did;
 //! * [`durability`] — the snapshot codec and WAL record vocabulary behind
 //!   durable append sessions ([`service::MiscelaService::with_durability`]):
 //!   `append_chunk` fsyncs a WAL record before acknowledging, `finish_append`
@@ -40,9 +43,10 @@
 //!
 //! ```
 //! use miscela_csv::split_into_chunks;
-//! use miscela_server::MiscelaService;
+//! use miscela_server::{Call, MiscelaService};
 //!
 //! let service = MiscelaService::new();
+//! let call = Call::default();
 //! let locations = "id,attribute,lat,lon\n\
 //!                  s0,temperature,43.46,-3.80\n\
 //!                  s1,light,43.47,-3.79\n";
@@ -53,11 +57,11 @@
 //!             s1,light,2016-03-01 00:00:00,310\n\
 //!             s1,light,2016-03-01 01:00:00,343\n";
 //!
-//! service.begin_upload("demo", locations, attributes).unwrap();
+//! service.begin_upload(&call, "demo", locations, attributes).unwrap();
 //! for chunk in split_into_chunks(data, 2) {
-//!     service.upload_chunk("demo", &chunk).unwrap();
+//!     service.upload_chunk(&call, "demo", &chunk).unwrap();
 //! }
-//! let (summary, _elapsed) = service.finish_upload("demo").unwrap();
+//! let (summary, _elapsed, _replayed) = service.finish_upload(&call, "demo").unwrap();
 //! assert_eq!(summary.sensors, 2);
 //! assert_eq!(summary.records, 4);
 //! ```
@@ -66,6 +70,7 @@
 #![warn(missing_docs)]
 
 pub mod admission;
+pub mod call;
 pub mod client;
 pub mod durability;
 pub mod message;
@@ -74,6 +79,7 @@ pub mod service;
 pub mod shard;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionStats, Permit};
+pub use call::Call;
 pub use client::{
     ChaosConfig, ChaosStats, ChaosTransport, ClientError, ClientStats, ResilientClient,
     RetryPolicy, RouterTransport, SwappableRouter, Transport, TransportError,

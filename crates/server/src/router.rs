@@ -1,6 +1,12 @@
 //! Request routing: maps API requests onto [`MiscelaService`] calls and
 //! serializes the outcomes as JSON responses.
 //!
+//! [`Router::handle`] builds one [`Call`] per request — the tenant from the
+//! optional `/tenants/{tenant}` prefix and the `idempotency_key` — and
+//! hands it to the one service method behind the route; the mine, sweep
+//! and watch handlers add the `deadline_ms` deadline to it. The sections
+//! below say which routes read which term.
+//!
 //! Routes (mirroring the original django URL configuration):
 //!
 //! | Method | Path | Purpose |
@@ -59,10 +65,11 @@
 //!
 //! # Deadlines and overload responses
 //!
-//! `POST .../mine` accepts an optional `deadline_ms` query parameter: the
-//! request must complete within that many milliseconds or it fails with
-//! `504 deadline_exceeded` (cache hits are still served — they cost
-//! nothing). Under load the serving path answers with typed errors rather
+//! `POST .../mine` and `POST .../mine/sweep` accept an optional
+//! `deadline_ms` query parameter: the request must complete within that
+//! many milliseconds or it fails with `504 deadline_exceeded` (cache hits
+//! are still served — they cost nothing). `GET .../watch` parks until it;
+//! every other route ignores the parameter. Under load the serving path answers with typed errors rather
 //! than queueing without bound:
 //!
 //! * `429` — admission control shed the request (budget/queue full);
@@ -75,20 +82,17 @@
 //! Retryable responses (`429`/`503`) carry a `retry_after_ms` back-off hint
 //! in the body, the JSON analogue of HTTP's `Retry-After` header.
 
+use crate::call::Call;
 use crate::message::{ApiError, ApiRequest, ApiResponse, Method};
-use crate::service::{MiscelaService, SweepServed};
-use crate::shard::{TenantQuota, DEFAULT_TENANT};
+use crate::service::{MiscelaService, ProtocolStats, SweepServed};
+use crate::shard::TenantQuota;
 use miscela_cache::codec::capset_to_json;
-use miscela_core::{CancelToken, MiningParams};
+use miscela_cache::ExtractionCacheStats;
+use miscela_core::MiningParams;
 use miscela_csv::chunk::Chunk;
 use miscela_store::Json;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long `GET .../watch` parks when the request carries no
-/// `deadline_ms`: a bounded default long-poll window, so an abandoned
-/// watcher never pins a thread forever.
-const DEFAULT_WATCH_DEADLINE: Duration = Duration::from_secs(30);
 
 /// The API router.
 pub struct Router {
@@ -114,6 +118,7 @@ impl Router {
         }
     }
 
+    /// Builds the request's [`Call`] once and routes it to its handler.
     fn dispatch(&self, request: &ApiRequest) -> Result<ApiResponse, ApiError> {
         let segments = request.segments();
         // The service-wide stats routes are matched on the raw path first:
@@ -127,46 +132,43 @@ impl Router {
         // Every other route lives in a tenant namespace: a `/tenants/{t}`
         // prefix selects it, its absence selects the default tenant — so
         // every pre-tenancy URL keeps working unchanged.
-        let (tenant, rest) = match segments.as_slice() {
-            ["tenants", tenant, rest @ ..] => (*tenant, rest),
-            rest => (DEFAULT_TENANT, rest),
+        let (call, segments) = match segments.as_slice() {
+            ["tenants", tenant, rest @ ..] => (Call::tenant(tenant)?, rest),
+            rest => (Call::default(), rest),
         };
-        self.dispatch_in(tenant, rest, request)
+        let call = call.with_key(key_from_request(request));
+        self.route(&call, segments, request)
     }
 
-    fn dispatch_in(
+    fn route(
         &self,
-        tenant: &str,
+        call: &Call,
         segments: &[&str],
         request: &ApiRequest,
     ) -> Result<ApiResponse, ApiError> {
         match (request.method, segments) {
-            (Method::Get, ["datasets"]) => self.list_datasets(tenant),
-            (Method::Get, ["datasets", name]) => self.dataset_stats(tenant, name),
+            (Method::Get, ["datasets"]) => Ok(self.list_datasets(call)),
+            (Method::Get, ["datasets", name]) => self.dataset_stats(call, name),
             (Method::Delete, ["datasets", name]) => {
-                let replayed = self.service.delete_dataset_keyed_in(
-                    tenant,
-                    name,
-                    key_from_request(request),
-                )?;
+                let replayed = self.service.delete_dataset(call, name)?;
                 Ok(ApiResponse::ok(Json::from_pairs([
                     ("deleted", Json::from(*name)),
                     ("replayed", Json::from(replayed)),
                 ])))
             }
             (Method::Post, ["datasets", name, "upload", "begin"]) => {
-                self.begin_upload(tenant, name, request)
+                self.begin_upload(call, name, request)
             }
             (Method::Post, ["datasets", name, "upload", "chunk"]) => {
-                self.upload_chunk(tenant, name, request)
+                let chunk = chunk_from_body(request)?;
+                let missing = self.service.upload_chunk(call, name, &chunk)?;
+                Ok(chunk_accepted(&chunk, missing))
             }
             (Method::Post, ["datasets", name, "upload", "finish"]) => {
-                self.finish_upload(tenant, name, request)
+                self.finish_upload(call, name)
             }
             (Method::Post, ["datasets", name, "append", "begin"]) => {
-                let outcome =
-                    self.service
-                        .begin_append_keyed_in(tenant, name, key_from_request(request))?;
+                let outcome = self.service.begin_append(call, name)?;
                 Ok(ApiResponse::created(Json::from_pairs([
                     ("append", Json::from(*name)),
                     ("session", Json::from(outcome.session as i64)),
@@ -174,27 +176,53 @@ impl Router {
                 ])))
             }
             (Method::Post, ["datasets", name, "append", "chunk"]) => {
-                self.append_chunk(tenant, name, request)
+                self.append_chunk(call, name, request)
             }
             (Method::Post, ["datasets", name, "append", "finish"]) => {
-                self.finish_append(tenant, name, request)
+                self.finish_append(call, name)
             }
-            (Method::Get, ["datasets", name, "append"]) => self.append_status(tenant, name),
-            (Method::Get, ["datasets", name, "retention"]) => self.get_retention(tenant, name),
+            (Method::Get, ["datasets", name, "append"]) => self.append_status(call, name),
+            (Method::Get, ["datasets", name, "retention"]) => self.get_retention(call, name),
             (Method::Post, ["datasets", name, "retention"]) => {
-                self.set_retention(tenant, name, request)
+                self.set_retention(call, name, request)
             }
-            (Method::Get, ["datasets", name, "durability"]) => self.durability(tenant, name),
-            (Method::Get, ["datasets", name, "watch"]) => self.watch(tenant, name, request),
-            (Method::Post, ["datasets", name, "mine"]) => self.mine(tenant, name, request),
+            (Method::Get, ["datasets", name, "durability"]) => self.durability(call, name),
+            (Method::Get, ["datasets", name, "watch"]) => self.watch(call, name, request),
+            (Method::Post, ["datasets", name, "mine"]) => self.mine(call, name, request),
             (Method::Post, ["datasets", name, "mine", "sweep"]) => {
-                self.mine_sweep(tenant, name, request)
+                self.mine_sweep(call, name, request)
             }
-            (Method::Get, ["quota"]) => self.get_quota(tenant),
-            (Method::Post, ["quota"]) => self.set_quota(tenant, request),
-            (Method::Get, ["admission", "stats"]) => self.tenant_admission_stats(tenant),
-            (Method::Get, ["protocol", "stats"]) => self.tenant_protocol_stats(tenant),
-            (Method::Get, ["cache", "stats"]) => self.tenant_cache_stats(tenant),
+            (Method::Get, ["quota"]) => Ok(quota_response(call, &self.service.quota(call))),
+            (Method::Post, ["quota"]) => {
+                let quota = quota_from_json(&request.body)?;
+                self.service.set_quota(call, quota);
+                Ok(quota_response(call, &quota))
+            }
+            (Method::Get, ["admission", "stats"]) => {
+                let stats = self.service.tenant_admission_stats(call);
+                Ok(ApiResponse::ok(Json::from_pairs([
+                    ("tenant", Json::from(call.tenant_name())),
+                    ("admitted", Json::from(stats.admitted as i64)),
+                    ("shed", Json::from(stats.shed as i64)),
+                    (
+                        "deadline_expired",
+                        Json::from(stats.deadline_expired as i64),
+                    ),
+                ])))
+            }
+            (Method::Get, ["protocol", "stats"]) => {
+                let mut doc = protocol_json(&self.service.tenant_protocol_stats(call));
+                doc.set("tenant", Json::from(call.tenant_name()));
+                Ok(ApiResponse::ok(doc))
+            }
+            (Method::Get, ["cache", "stats"]) => {
+                let stats = self.service.tenant_cache_stats(call);
+                Ok(ApiResponse::ok(Json::from_pairs([
+                    ("tenant", Json::from(call.tenant_name())),
+                    ("datasets", Json::from(stats.datasets)),
+                    ("extraction", extraction_json(&stats.extraction)),
+                ])))
+            }
             _ => Err(ApiError::NotFound(format!(
                 "no route for {:?} {}",
                 request.method, request.path
@@ -202,10 +230,10 @@ impl Router {
         }
     }
 
-    fn list_datasets(&self, tenant: &str) -> Result<ApiResponse, ApiError> {
+    fn list_datasets(&self, call: &Call) -> ApiResponse {
         let datasets: Vec<Json> = self
             .service
-            .list_datasets_in(tenant)?
+            .list_datasets(call)
             .into_iter()
             .map(|d| {
                 Json::from_pairs([
@@ -219,14 +247,11 @@ impl Router {
                 ])
             })
             .collect();
-        Ok(ApiResponse::ok(Json::from_pairs([(
-            "datasets",
-            Json::Array(datasets),
-        )])))
+        ApiResponse::ok(Json::from_pairs([("datasets", Json::Array(datasets))]))
     }
 
-    fn dataset_stats(&self, tenant: &str, name: &str) -> Result<ApiResponse, ApiError> {
-        let stats = self.service.dataset_stats_in(tenant, name)?;
+    fn dataset_stats(&self, call: &Call, name: &str) -> Result<ApiResponse, ApiError> {
+        let stats = self.service.dataset_stats(call, name)?;
         Ok(ApiResponse::ok(Json::from_pairs([
             ("name", Json::from(stats.name)),
             ("sensors", Json::from(stats.sensors)),
@@ -242,45 +267,23 @@ impl Router {
 
     fn begin_upload(
         &self,
-        tenant: &str,
+        call: &Call,
         name: &str,
         request: &ApiRequest,
     ) -> Result<ApiResponse, ApiError> {
         let location = body_str(request, "location_csv")?;
         let attributes = body_str(request, "attribute_csv")?;
-        let replayed = self.service.begin_upload_keyed_in(
-            tenant,
-            name,
-            location,
-            attributes,
-            key_from_request(request),
-        )?;
+        let replayed = self
+            .service
+            .begin_upload(call, name, location, attributes)?;
         Ok(ApiResponse::created(Json::from_pairs([
             ("upload", Json::from(name)),
             ("replayed", Json::from(replayed)),
         ])))
     }
 
-    fn upload_chunk(
-        &self,
-        tenant: &str,
-        name: &str,
-        request: &ApiRequest,
-    ) -> Result<ApiResponse, ApiError> {
-        let chunk = chunk_from_body(request)?;
-        let missing = self.service.upload_chunk_in(tenant, name, &chunk)?;
-        Ok(chunk_accepted(&chunk, missing))
-    }
-
-    fn finish_upload(
-        &self,
-        tenant: &str,
-        name: &str,
-        request: &ApiRequest,
-    ) -> Result<ApiResponse, ApiError> {
-        let (summary, elapsed, replayed) =
-            self.service
-                .finish_upload_keyed_in(tenant, name, key_from_request(request))?;
+    fn finish_upload(&self, call: &Call, name: &str) -> Result<ApiResponse, ApiError> {
+        let (summary, elapsed, replayed) = self.service.finish_upload(call, name)?;
         Ok(ApiResponse::created(Json::from_pairs([
             ("name", Json::from(summary.name)),
             ("sensors", Json::from(summary.sensors)),
@@ -292,39 +295,32 @@ impl Router {
 
     fn append_chunk(
         &self,
-        tenant: &str,
+        call: &Call,
         name: &str,
         request: &ApiRequest,
     ) -> Result<ApiResponse, ApiError> {
         let chunk = chunk_from_body(request)?;
         // A chunk carrying a sequence number speaks the exactly-once
         // protocol: its session id is required and its ack is replayable.
-        if request.body.get("seq").is_some() {
-            let session = body_u64(request, "session")?;
-            let seq = body_u64(request, "seq")?;
-            let ack = self
-                .service
-                .append_chunk_seq_in(tenant, name, session, seq, &chunk)?;
-            return Ok(ApiResponse::ok(Json::from_pairs([
-                ("accepted", Json::from(ack.accepted)),
-                ("missing_chunks", Json::from(ack.missing)),
-                ("acked_seq", Json::from(ack.acked_seq as i64)),
-                ("replayed", Json::from(ack.replayed)),
-            ])));
+        // A seq-less chunk gets the plain upload-style ack.
+        let seq = match request.body.get("seq") {
+            Some(_) => Some((body_u64(request, "session")?, body_u64(request, "seq")?)),
+            None => None,
+        };
+        let ack = self.service.append_chunk(call, name, seq, &chunk)?;
+        if seq.is_none() {
+            return Ok(chunk_accepted(&chunk, ack.missing));
         }
-        let missing = self.service.append_chunk_in(tenant, name, &chunk)?;
-        Ok(chunk_accepted(&chunk, missing))
+        Ok(ApiResponse::ok(Json::from_pairs([
+            ("accepted", Json::from(ack.accepted)),
+            ("missing_chunks", Json::from(ack.missing)),
+            ("acked_seq", Json::from(ack.acked_seq as i64)),
+            ("replayed", Json::from(ack.replayed)),
+        ])))
     }
 
-    fn finish_append(
-        &self,
-        tenant: &str,
-        name: &str,
-        request: &ApiRequest,
-    ) -> Result<ApiResponse, ApiError> {
-        let (summary, elapsed, replayed) =
-            self.service
-                .finish_append_keyed_in(tenant, name, key_from_request(request))?;
+    fn finish_append(&self, call: &Call, name: &str) -> Result<ApiResponse, ApiError> {
+        let (summary, elapsed, replayed) = self.service.finish_append(call, name)?;
         Ok(ApiResponse::ok(Json::from_pairs([
             ("name", Json::from(summary.name)),
             ("new_timestamps", Json::from(summary.new_timestamps)),
@@ -337,8 +333,8 @@ impl Router {
         ])))
     }
 
-    fn append_status(&self, tenant: &str, name: &str) -> Result<ApiResponse, ApiError> {
-        let status = self.service.append_status_in(tenant, name)?;
+    fn append_status(&self, call: &Call, name: &str) -> Result<ApiResponse, ApiError> {
+        let status = self.service.append_status(call, name)?;
         Ok(match status {
             Some(s) => ApiResponse::ok(Json::from_pairs([
                 ("name", Json::from(name)),
@@ -355,9 +351,9 @@ impl Router {
         })
     }
 
-    fn get_retention(&self, tenant: &str, name: &str) -> Result<ApiResponse, ApiError> {
-        let policy = self.service.retention_in(tenant, name)?;
-        let ds = self.service.dataset_in(tenant, name)?;
+    fn get_retention(&self, call: &Call, name: &str) -> Result<ApiResponse, ApiError> {
+        let policy = self.service.retention(call, name)?;
+        let ds = self.service.dataset(call, name)?;
         Ok(ApiResponse::ok(Json::from_pairs([
             ("name", Json::from(name)),
             (
@@ -378,14 +374,12 @@ impl Router {
 
     fn set_retention(
         &self,
-        tenant: &str,
+        call: &Call,
         name: &str,
         request: &ApiRequest,
     ) -> Result<ApiResponse, ApiError> {
         let policy = retention_from_json(&request.body)?;
-        let (summary, replayed) =
-            self.service
-                .set_retention_keyed_in(tenant, name, policy, key_from_request(request))?;
+        let (summary, replayed) = self.service.set_retention(call, name, policy)?;
         Ok(ApiResponse::ok(Json::from_pairs([
             ("name", Json::from(summary.name)),
             ("trimmed_timestamps", Json::from(summary.trimmed_timestamps)),
@@ -396,8 +390,8 @@ impl Router {
         ])))
     }
 
-    fn durability(&self, tenant: &str, name: &str) -> Result<ApiResponse, ApiError> {
-        let stats = self.service.durability_stats_in(tenant, name)?;
+    fn durability(&self, call: &Call, name: &str) -> Result<ApiResponse, ApiError> {
+        let stats = self.service.durability_stats(call, name)?;
         Ok(ApiResponse::ok(Json::from_pairs([
             ("name", Json::from(name)),
             ("wal_records", Json::from(stats.wal_records as i64)),
@@ -417,28 +411,17 @@ impl Router {
             (
                 "degraded",
                 self.service
-                    .degraded_reason_in(tenant, name)
+                    .degraded_reason(call, name)
                     .map(Json::from)
                     .unwrap_or(Json::Null),
             ),
         ])))
     }
 
-    fn mine(
-        &self,
-        tenant: &str,
-        name: &str,
-        request: &ApiRequest,
-    ) -> Result<ApiResponse, ApiError> {
+    fn mine(&self, call: &Call, name: &str, request: &ApiRequest) -> Result<ApiResponse, ApiError> {
         let params = params_from_json(&request.body)?;
-        let deadline = deadline_from_query(request)?;
-        let outcome = self.service.mine_cancellable_in(
-            tenant,
-            name,
-            &params,
-            deadline,
-            &CancelToken::never(),
-        )?;
+        let call = with_query_deadline(call, request)?;
+        let outcome = self.service.mine(&call, name, &params)?;
         Ok(ApiResponse::ok(Json::from_pairs([
             ("dataset", Json::from(name)),
             ("revision", Json::from(outcome.revision as i64)),
@@ -459,7 +442,7 @@ impl Router {
 
     fn mine_sweep(
         &self,
-        tenant: &str,
+        call: &Call,
         name: &str,
         request: &ApiRequest,
     ) -> Result<ApiResponse, ApiError> {
@@ -474,17 +457,8 @@ impl Router {
             .iter()
             .map(params_from_json)
             .collect::<Result<Vec<MiningParams>, ApiError>>()?;
-        let deadline = deadline_from_query(request)?;
-        let key = key_from_request(request);
-        let served = self.service.mine_sweep_in(
-            tenant,
-            name,
-            &points,
-            deadline,
-            &CancelToken::never(),
-            key,
-        )?;
-        let outcome = match served {
+        let call = with_query_deadline(call, request)?;
+        let outcome = match self.service.mine_sweep(&call, name, &points)? {
             SweepServed::Replayed(body) => {
                 let mut doc = Json::parse(&body)
                     .map_err(|e| ApiError::Internal(format!("corrupt sweep replay body: {e}")))?;
@@ -522,13 +496,13 @@ impl Router {
             ("results", Json::Array(results)),
         ]);
         self.service
-            .remember_sweep_in(tenant, name, key, doc.to_string_compact());
+            .remember_sweep(&call, name, doc.to_string_compact());
         Ok(ApiResponse::ok(doc))
     }
 
     fn watch(
         &self,
-        tenant: &str,
+        call: &Call,
         name: &str,
         request: &ApiRequest,
     ) -> Result<ApiResponse, ApiError> {
@@ -538,11 +512,8 @@ impl Router {
             })?,
             None => 0,
         };
-        // A long poll always has a bound: an omitted deadline defaults to
-        // the standard long-poll window rather than parking forever.
-        let deadline = deadline_from_query(request)?
-            .unwrap_or_else(|| Instant::now() + DEFAULT_WATCH_DEADLINE);
-        let out = self.service.watch_in(tenant, name, since, deadline)?;
+        let call = with_query_deadline(call, request)?;
+        let out = self.service.watch(&call, name, since)?;
         Ok(ApiResponse::ok(Json::from_pairs([
             ("dataset", Json::from(name)),
             ("revision", Json::from(out.revision as i64)),
@@ -550,64 +521,6 @@ impl Router {
             ("timestamps", Json::from(out.timestamps)),
             ("trimmed_total", Json::from(out.trimmed_total)),
             ("deadline_expired", Json::from(out.deadline_expired)),
-        ])))
-    }
-
-    fn get_quota(&self, tenant: &str) -> Result<ApiResponse, ApiError> {
-        let quota = self.service.quota(tenant)?;
-        Ok(ApiResponse::ok(quota_doc(tenant, &quota)))
-    }
-
-    fn set_quota(&self, tenant: &str, request: &ApiRequest) -> Result<ApiResponse, ApiError> {
-        let quota = quota_from_json(&request.body)?;
-        self.service.set_quota(tenant, quota)?;
-        Ok(ApiResponse::ok(quota_doc(tenant, &quota)))
-    }
-
-    fn tenant_admission_stats(&self, tenant: &str) -> Result<ApiResponse, ApiError> {
-        let stats = self.service.tenant_admission_stats(tenant)?;
-        Ok(ApiResponse::ok(Json::from_pairs([
-            ("tenant", Json::from(tenant)),
-            ("admitted", Json::from(stats.admitted as i64)),
-            ("shed", Json::from(stats.shed as i64)),
-            (
-                "deadline_expired",
-                Json::from(stats.deadline_expired as i64),
-            ),
-        ])))
-    }
-
-    fn tenant_protocol_stats(&self, tenant: &str) -> Result<ApiResponse, ApiError> {
-        let stats = self.service.protocol_stats_in(tenant)?;
-        Ok(ApiResponse::ok(Json::from_pairs([
-            ("tenant", Json::from(tenant)),
-            ("cached_keys", Json::from(stats.cached_keys)),
-            ("key_replays", Json::from(stats.key_replays as i64)),
-            (
-                "chunk_duplicates",
-                Json::from(stats.chunk_duplicates as i64),
-            ),
-            ("sequence_gaps", Json::from(stats.sequence_gaps as i64)),
-            ("stale_sessions", Json::from(stats.stale_sessions as i64)),
-        ])))
-    }
-
-    fn tenant_cache_stats(&self, tenant: &str) -> Result<ApiResponse, ApiError> {
-        let stats = self.service.tenant_cache_stats(tenant)?;
-        Ok(ApiResponse::ok(Json::from_pairs([
-            ("tenant", Json::from(tenant)),
-            ("datasets", Json::from(stats.datasets)),
-            (
-                "extraction",
-                Json::from_pairs([
-                    ("hits", Json::from(stats.extraction.hits)),
-                    ("misses", Json::from(stats.extraction.misses)),
-                    ("prefix_hits", Json::from(stats.extraction.prefix_hits)),
-                    ("prefix_misses", Json::from(stats.extraction.prefix_misses)),
-                    ("entries", Json::from(stats.extraction.entries)),
-                    ("evicted", Json::from(stats.extraction.evicted)),
-                ]),
-            ),
         ])))
     }
 
@@ -627,22 +540,11 @@ impl Router {
     }
 
     fn protocol_stats(&self) -> ApiResponse {
-        let stats = self.service.protocol_stats();
-        ApiResponse::ok(Json::from_pairs([
-            ("cached_keys", Json::from(stats.cached_keys)),
-            ("key_replays", Json::from(stats.key_replays as i64)),
-            (
-                "chunk_duplicates",
-                Json::from(stats.chunk_duplicates as i64),
-            ),
-            ("sequence_gaps", Json::from(stats.sequence_gaps as i64)),
-            ("stale_sessions", Json::from(stats.stale_sessions as i64)),
-        ]))
+        ApiResponse::ok(protocol_json(&self.service.protocol_stats()))
     }
 
     fn cache_stats(&self) -> ApiResponse {
         let stats = self.service.cache_stats();
-        let extraction = self.service.extraction_cache_stats();
         ApiResponse::ok(Json::from_pairs([
             ("hits", Json::from(stats.hits)),
             ("misses", Json::from(stats.misses)),
@@ -651,17 +553,36 @@ impl Router {
             ("hit_rate", Json::from(stats.hit_rate())),
             (
                 "extraction",
-                Json::from_pairs([
-                    ("hits", Json::from(extraction.hits)),
-                    ("misses", Json::from(extraction.misses)),
-                    ("prefix_hits", Json::from(extraction.prefix_hits)),
-                    ("prefix_misses", Json::from(extraction.prefix_misses)),
-                    ("entries", Json::from(extraction.entries)),
-                    ("evicted", Json::from(extraction.evicted)),
-                ]),
+                extraction_json(&self.service.extraction_cache_stats()),
             ),
         ]))
     }
+}
+
+/// The JSON rendering of extraction-cache counters.
+fn extraction_json(stats: &ExtractionCacheStats) -> Json {
+    Json::from_pairs([
+        ("hits", Json::from(stats.hits)),
+        ("misses", Json::from(stats.misses)),
+        ("prefix_hits", Json::from(stats.prefix_hits)),
+        ("prefix_misses", Json::from(stats.prefix_misses)),
+        ("entries", Json::from(stats.entries)),
+        ("evicted", Json::from(stats.evicted)),
+    ])
+}
+
+/// The JSON rendering of exactly-once protocol counters.
+fn protocol_json(stats: &ProtocolStats) -> Json {
+    Json::from_pairs([
+        ("cached_keys", Json::from(stats.cached_keys)),
+        ("key_replays", Json::from(stats.key_replays as i64)),
+        (
+            "chunk_duplicates",
+            Json::from(stats.chunk_duplicates as i64),
+        ),
+        ("sequence_gaps", Json::from(stats.sequence_gaps as i64)),
+        ("stale_sessions", Json::from(stats.stale_sessions as i64)),
+    ])
 }
 
 /// Parses mining parameters from a JSON body; unspecified fields keep the
@@ -733,18 +654,18 @@ pub fn retention_from_json(body: &Json) -> Result<miscela_model::RetentionPolicy
     Ok(policy)
 }
 
-/// The JSON rendering of one tenant's quota: `null` means unlimited.
-fn quota_doc(tenant: &str, quota: &TenantQuota) -> Json {
+/// The response rendering one tenant's quota: `null` means unlimited.
+fn quota_response(call: &Call, quota: &TenantQuota) -> ApiResponse {
     let opt = |v: Option<usize>| v.map(Json::from).unwrap_or(Json::Null);
-    Json::from_pairs([
-        ("tenant", Json::from(tenant)),
+    ApiResponse::ok(Json::from_pairs([
+        ("tenant", Json::from(call.tenant_name())),
         ("max_datasets", opt(quota.max_datasets)),
         (
             "max_retained_timestamps",
             opt(quota.max_retained_timestamps),
         ),
         ("max_cache_entries", opt(quota.max_cache_entries)),
-    ])
+    ]))
 }
 
 /// Parses a tenant quota from a JSON body: each of `max_datasets`,
@@ -770,17 +691,21 @@ fn quota_from_json(body: &Json) -> Result<TenantQuota, ApiError> {
     })
 }
 
-/// Parses the optional `deadline_ms` query parameter into an absolute
-/// deadline: the request must complete within that many milliseconds of
-/// now, or it fails with a 504.
-fn deadline_from_query(request: &ApiRequest) -> Result<Option<Instant>, ApiError> {
-    let Some(raw) = request.query.get("deadline_ms") else {
-        return Ok(None);
+/// `call` with the deadline of the optional `deadline_ms` query parameter:
+/// the request must complete within that many milliseconds of now, or it
+/// fails with a 504. Only the routes that honor a deadline (mine, sweep,
+/// watch) call this, so a malformed `deadline_ms` elsewhere is ignored.
+fn with_query_deadline(call: &Call, request: &ApiRequest) -> Result<Call, ApiError> {
+    let deadline = match request.query.get("deadline_ms") {
+        None => None,
+        Some(raw) => {
+            let ms: u64 = raw.parse().map_err(|_| {
+                ApiError::BadRequest("deadline_ms must be a non-negative integer".into())
+            })?;
+            Some(Instant::now() + Duration::from_millis(ms))
+        }
     };
-    let ms: u64 = raw
-        .parse()
-        .map_err(|_| ApiError::BadRequest("deadline_ms must be a non-negative integer".into()))?;
-    Ok(Some(Instant::now() + Duration::from_millis(ms)))
+    Ok(call.clone().with_deadline(deadline))
 }
 
 /// The optional idempotency key of a mutating request: the
@@ -1117,6 +1042,7 @@ mod tests {
         router
             .service()
             .upload_documents(
+                &Call::default(),
                 "santander",
                 &writer.data_csv(&prefix),
                 &writer.location_csv(&prefix),
@@ -1339,10 +1265,9 @@ mod tests {
         // distinct dataset; bare URLs keep addressing the default tenant.
         router
             .service()
-            .register_dataset_keyed_in(
-                "acme",
+            .register(
+                &Call::tenant("acme").unwrap(),
                 SantanderGenerator::small().with_scale(0.02).generate(),
-                None,
             )
             .unwrap();
         let listed = router.handle(&ApiRequest::get("/tenants/acme/datasets"));
@@ -1425,7 +1350,7 @@ mod tests {
         let writer = DatasetWriter::new();
         router
             .service()
-            .register_dataset_keyed_in("capped", generated.clone(), None)
+            .register(&Call::tenant("capped").unwrap(), generated.clone())
             .unwrap();
         let upload = |name: &str| {
             let begin = router.handle(&ApiRequest::post(
@@ -1481,18 +1406,16 @@ mod tests {
         let router = router_with_dataset();
         router
             .service()
-            .register_dataset_keyed_in(
-                "acme",
+            .register(
+                &Call::tenant("acme").unwrap().with_key(Some("k1")),
                 SantanderGenerator::small().with_scale(0.02).generate(),
-                Some("k1"),
             )
             .unwrap();
         router
             .service()
-            .register_dataset_keyed_in(
-                "acme",
+            .register(
+                &Call::tenant("acme").unwrap().with_key(Some("k1")),
                 SantanderGenerator::small().with_scale(0.02).generate(),
-                Some("k1"),
             )
             .unwrap();
         let mined = router.handle(&ApiRequest::post(
@@ -1536,5 +1459,130 @@ mod tests {
         assert!(!p.segmentation);
         assert!(params_from_json(&Json::from_pairs([("epsilon", Json::from("x"))])).is_err());
         assert!(params_from_json(&Json::from_pairs([("mu", Json::from(0i64))])).is_err());
+    }
+
+    #[test]
+    fn chunk_routes_take_an_absurd_total_without_allocating_for_it() {
+        let router = router_with_dataset();
+        let generated = SantanderGenerator::small().with_scale(0.02).generate();
+        let writer = DatasetWriter::new();
+        let begin = router.handle(&ApiRequest::post(
+            "/datasets/x/upload/begin",
+            Json::from_pairs([
+                ("location_csv", Json::from(writer.location_csv(&generated))),
+                (
+                    "attribute_csv",
+                    Json::from(writer.attribute_csv(&generated)),
+                ),
+            ]),
+        ));
+        assert_eq!(begin.status, StatusCode::Created);
+        let chunk = Json::from_pairs([
+            ("index", Json::from(0i64)),
+            ("total", Json::from(i64::MAX)),
+            ("content", Json::from("id,attribute,time,data\n")),
+        ]);
+        let resp = router.handle(&ApiRequest::post("/datasets/x/upload/chunk", chunk.clone()));
+        assert!(resp.is_success(), "{:?}", resp.body);
+        let missing = resp.body.get("missing_chunks").unwrap().as_f64().unwrap();
+        assert_eq!(missing, (i64::MAX - 1) as f64);
+        let finish = router.handle(&ApiRequest::post(
+            "/datasets/x/upload/finish",
+            Json::object(),
+        ));
+        assert_eq!(finish.status, StatusCode::BadRequest);
+        assert!(
+            finish.body.to_string_compact().contains("chunks missing"),
+            "{:?}",
+            finish.body
+        );
+
+        let begin = router.handle(&ApiRequest::post(
+            "/datasets/santander/append/begin",
+            Json::object(),
+        ));
+        assert_eq!(begin.status, StatusCode::Created);
+        let mut sequenced = chunk;
+        sequenced.set("session", begin.body.get("session").unwrap().clone());
+        sequenced.set("seq", Json::from(1i64));
+        let resp = router.handle(&ApiRequest::post(
+            "/datasets/santander/append/chunk",
+            sequenced,
+        ));
+        assert!(resp.is_success(), "{:?}", resp.body);
+        assert_eq!(resp.body.get("acked_seq").unwrap().as_i64(), Some(1));
+        let missing = resp.body.get("missing_chunks").unwrap().as_f64().unwrap();
+        assert_eq!(missing, (i64::MAX - 1) as f64);
+    }
+
+    #[test]
+    fn append_status_counts_distinct_chunks_received() {
+        let router = router_with_dataset();
+        let begin = router.handle(&ApiRequest::post(
+            "/datasets/santander/append/begin",
+            Json::object(),
+        ));
+        assert_eq!(begin.status, StatusCode::Created);
+        let session = begin.body.get("session").unwrap().clone();
+        let send = |index: i64, seq: Option<i64>| {
+            let mut body = Json::from_pairs([
+                ("index", Json::from(index)),
+                ("total", Json::from(3i64)),
+                ("content", Json::from("id,attribute,time,data\n")),
+            ]);
+            if let Some(seq) = seq {
+                body.set("session", session.clone());
+                body.set("seq", Json::from(seq));
+            }
+            let resp = router.handle(&ApiRequest::post("/datasets/santander/append/chunk", body));
+            assert!(resp.is_success(), "{:?}", resp.body);
+        };
+        let status = || {
+            let resp = router.handle(&ApiRequest::get("/datasets/santander/append"));
+            assert!(resp.is_success(), "{:?}", resp.body);
+            let field = |f: &str| resp.body.get(f).unwrap().as_i64().unwrap();
+            (
+                field("received"),
+                field("missing_chunks"),
+                field("acked_seq"),
+            )
+        };
+        // Chunks sent without a sequence number are received too.
+        send(0, None);
+        send(1, None);
+        assert_eq!(status(), (2, 1, 0));
+        // One chunk index re-sent under a new sequence number counts once.
+        send(2, Some(1));
+        send(2, Some(2));
+        assert_eq!(status(), (3, 0, 2));
+    }
+
+    #[test]
+    fn routes_without_a_deadline_ignore_a_malformed_one() {
+        let router = router_with_dataset();
+        for path in [
+            "/datasets",
+            "/datasets/santander",
+            "/datasets/santander/retention",
+            "/tenants/acme/quota",
+        ] {
+            let resp = router.handle(&ApiRequest::get(path).with_query("deadline_ms", "soon"));
+            assert!(resp.is_success(), "{path}: {:?}", resp.body);
+        }
+        // The routes that honor a deadline still reject it.
+        let resp = router.handle(
+            &ApiRequest::get("/datasets/santander/watch").with_query("deadline_ms", "soon"),
+        );
+        assert_eq!(resp.status, StatusCode::BadRequest);
+        // ...but only after their body: a malformed body is reported first.
+        for path in ["/datasets/santander/mine", "/datasets/santander/mine/sweep"] {
+            let resp = router.handle(
+                &ApiRequest::post(path, Json::from_pairs([("psi", Json::from("x"))]))
+                    .with_query("deadline_ms", "soon"),
+            );
+            assert_eq!(resp.status, StatusCode::BadRequest);
+            let msg = resp.body.get("error").unwrap().to_string_compact();
+            assert!(!msg.contains("deadline_ms"), "{path}: {msg}");
+        }
     }
 }

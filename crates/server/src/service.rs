@@ -17,12 +17,19 @@
 //!   be mined repeatedly "without re-uploading by specifying the dataset
 //!   name", and every append bumps the revision so cached results for
 //!   superseded content become unreachable by key;
-//! * **tenancy**: every operation has a `_in` variant taking a tenant
-//!   name. Tenants get disjoint dataset namespaces (keyed `tenant/name` in
-//!   the store), their own replay caches, durability directories, quota
+//! * **one method per operation**: every operation takes a [`Call`] first,
+//!   the request context carrying the tenant, an optional idempotency key,
+//!   an optional deadline and a cancel token — `mine(&call, name, &params)`,
+//!   `finish_append(&call, name)`. The operation reads only the terms it
+//!   honors; [`MiscelaService::register_dataset`] is the one call-less
+//!   form, the infallible trusted path for in-process generators;
+//! * **tenancy**: a [`Call::tenant`] call addresses a tenant's namespace.
+//!   Tenants get disjoint dataset namespaces (keyed `tenant/name` in the
+//!   store), their own replay caches, durability directories, quota
 //!   ([`TenantQuota`], enforced with typed 403s), and stats slices. The
-//!   default tenant ([`DEFAULT_TENANT`]) keeps bare keys, bare URLs and
-//!   the root durability directory, so pre-tenancy callers see no change;
+//!   default tenant ([`DEFAULT_TENANT`], `Call::default()`) keeps bare
+//!   keys, bare URLs and the root durability directory, so pre-tenancy
+//!   callers see no change;
 //! * the **watch** feed: [`MiscelaService::watch`] long-polls a dataset's
 //!   revision on the owning shard's condvar, waking on append, retention
 //!   and delete bumps instead of forcing clients to hammer `/mine`.
@@ -45,11 +52,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats, Permit};
+use crate::call::{Call, Scope};
 use crate::durability::{self, WalOp};
 use crate::message::ApiError;
 use crate::shard::{
-    key_tenant, scoped_key, validate_tenant, DatasetEntry, Durability, DurableState, ReplayEntry,
-    ShardedStore, TenantAdmissionStats, TenantQuota, DEFAULT_SHARDS, DEFAULT_TENANT, TENANTS_DIR,
+    key_tenant, validate_tenant, DatasetEntry, Durability, DurableState, ReplayEntry, ShardedStore,
+    TenantAdmissionStats, TenantQuota, DEFAULT_SHARDS, DEFAULT_TENANT, TENANTS_DIR,
 };
 
 /// Name of the store collection recording uploaded datasets.
@@ -62,6 +70,11 @@ pub const DEGRADED_RETRY_AFTER_MS: u64 = 250;
 /// Fixed admission cost of applying a finished append session: the apply is
 /// O(tail), so it is charged one unit regardless of dataset size.
 const APPEND_COST: u64 = 1;
+
+/// How long a watch parks when its call carries no deadline: a bounded
+/// default long-poll window, so an abandoned watcher never pins a thread
+/// forever.
+const DEFAULT_WATCH_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Capacity of each tenant's replayed-response cache: the tenant's oldest
 /// keyed response is evicted once this many are cached. Retries arrive
@@ -212,7 +225,7 @@ pub enum ReplayOutcome {
 
 /// Counters for the exactly-once request protocol, served by
 /// `GET /protocol/stats`. The global view sums every tenant's slice;
-/// [`MiscelaService::protocol_stats_in`] serves one tenant's.
+/// [`MiscelaService::tenant_protocol_stats`] serves one tenant's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProtocolStats {
     /// Idempotency keys currently cached with their responses.
@@ -227,14 +240,25 @@ pub struct ProtocolStats {
     pub stale_sessions: u64,
 }
 
-/// The acknowledgment for one sequenced `append_chunk`.
+impl std::ops::AddAssign for ProtocolStats {
+    fn add_assign(&mut self, other: ProtocolStats) {
+        self.cached_keys += other.cached_keys;
+        self.key_replays += other.key_replays;
+        self.chunk_duplicates += other.chunk_duplicates;
+        self.sequence_gaps += other.sequence_gaps;
+        self.stale_sessions += other.stale_sessions;
+    }
+}
+
+/// The acknowledgment for one `append_chunk`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkAck {
     /// Index of the chunk this ack covers.
     pub accepted: usize,
     /// Chunks still missing from the session at the time of this ack.
     pub missing: usize,
-    /// The session's acknowledged-sequence watermark after this chunk.
+    /// The session's acknowledged-sequence watermark after this chunk
+    /// (unchanged by a chunk sent without a sequence number).
     pub acked_seq: u64,
     /// Whether this ack was replayed for a duplicate delivery rather than
     /// freshly produced.
@@ -333,55 +357,11 @@ pub struct TenantCacheStats {
     pub extraction: ExtractionCacheStats,
 }
 
-/// A validated request scope: the tenant, the tenant-local dataset name,
-/// and the scoped store key the pair maps to. Every internal method takes
-/// one of these; the public API builds them either unchecked for the
-/// default tenant (preserving pre-tenancy behavior bit for bit) or
-/// validated for the `_in` variants.
-#[derive(Debug, Clone)]
-struct Scope {
-    tenant: String,
-    name: String,
-    key: String,
-}
-
-impl Scope {
-    /// A validated scope: the tenant name must be well-formed and the
-    /// dataset name must not contain `/` (reserved as the tenant/dataset
-    /// separator in scoped keys — allowing it would let a default-tenant
-    /// dataset named `"t/d"` collide with tenant `t`'s dataset `d`).
-    fn new(tenant: &str, name: &str) -> Result<Scope, ApiError> {
-        validate_tenant(tenant)?;
-        if name.contains('/') {
-            return Err(ApiError::BadRequest(format!(
-                "dataset name {name:?} is invalid: '/' is reserved for tenant scoping"
-            )));
-        }
-        Ok(Scope {
-            tenant: tenant.to_string(),
-            name: name.to_string(),
-            key: scoped_key(tenant, name),
-        })
-    }
-
-    /// The default tenant's scope for `name`, unchecked: pre-tenancy
-    /// callers (and the legacy infallible registration path) accept any
-    /// name they always did.
-    fn default_tenant(name: &str) -> Scope {
-        Scope {
-            tenant: DEFAULT_TENANT.to_string(),
-            name: name.to_string(),
-            key: name.to_string(),
-        }
-    }
-}
-
-/// The Miscela-V application service: a stateless facade over the
-/// [`ShardedStore`] holding every piece of state. Cloning the `Arc` (via
-/// [`MiscelaService::shared_store`] + [`MiscelaService::with_store`])
-/// yields another facade over the same store.
+/// The Miscela-V application service: a facade over the one
+/// [`ShardedStore`] holding every piece of state. Share one service
+/// between threads behind an `Arc`.
 pub struct MiscelaService {
-    store: Arc<ShardedStore>,
+    store: ShardedStore,
 }
 
 /// Maps a store-layer durability failure into a typed API error. A failed
@@ -408,42 +388,25 @@ impl MiscelaService {
         db.create_index(DATASETS_COLLECTION, "key");
         db.create_index(DATASETS_COLLECTION, "tenant");
         MiscelaService {
-            store: Arc::new(ShardedStore::new(
+            store: ShardedStore::new(
                 db,
                 AdmissionController::new(AdmissionConfig::default()),
                 DEFAULT_SHARDS,
-            )),
+            ),
         }
-    }
-
-    /// A facade over an existing store — how request handlers, background
-    /// workers and tests share one sharded spine.
-    pub fn with_store(store: Arc<ShardedStore>) -> Self {
-        MiscelaService { store }
-    }
-
-    /// The shared store behind this facade.
-    pub fn shared_store(&self) -> Arc<ShardedStore> {
-        Arc::clone(&self.store)
     }
 
     /// Replaces the admission-control configuration (builder style). Call
-    /// before the service starts taking requests — and before the store is
-    /// shared; once another facade holds the store this is a no-op.
+    /// before the service starts taking requests.
     pub fn with_admission(mut self, config: AdmissionConfig) -> Self {
-        if let Some(store) = Arc::get_mut(&mut self.store) {
-            store.admission = AdmissionController::new(config);
-        }
+        self.store.admission = AdmissionController::new(config);
         self
     }
 
     /// Replaces the shard count (builder style). Call before any dataset is
-    /// registered — resharding rebuilds empty shards — and before the store
-    /// is shared; once another facade holds the store this is a no-op.
+    /// registered — resharding rebuilds empty shards.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        if let Some(store) = Arc::get_mut(&mut self.store) {
-            store.reshard(shards);
-        }
+        self.store.reshard(shards);
         self
     }
 
@@ -504,8 +467,14 @@ impl MiscelaService {
             }
         }
         for (tenant, space) in spaces {
+            // The default tenant registers through unchecked calls, so its
+            // recovered names are taken as they were registered.
+            let call = if tenant == DEFAULT_TENANT {
+                Call::default()
+            } else {
+                Call::tenant(&tenant)?
+            };
             for name in space.dataset_names().map_err(wal_err)? {
-                let scope = Scope::new(&tenant, &name)?;
                 let mut log = space.dataset(&name).map_err(wal_err)?;
                 let Some(snapshot) = log.load_snapshot().map_err(wal_err)? else {
                     // A WAL with no snapshot means the very first
@@ -515,6 +484,22 @@ impl MiscelaService {
                     continue;
                 };
                 let restored = durability::restore_dataset(&snapshot.data)?;
+                // The dataset comes back under the name its snapshot
+                // records, not its directory name.
+                let scope = call.scope(restored.dataset.name())?;
+                if scope.name != name {
+                    // A directory written before directory names were
+                    // encoded injectively (`city_data` for `city.data`):
+                    // move it to its name's directory so later deletes and
+                    // writes find it. If that directory already has a log,
+                    // it was written after this one, which is stale.
+                    drop(log);
+                    if !space.rename_dataset(&name, &scope.name).map_err(wal_err)? {
+                        space.remove_dataset(&name).map_err(wal_err)?;
+                        continue;
+                    }
+                    log = space.dataset(&scope.name).map_err(wal_err)?;
+                }
                 let applied = restored.applied_session;
                 // Reinstall the snapshot's keyed responses first, then
                 // layer any the WAL tail re-derives (begin/commit records
@@ -590,7 +575,7 @@ impl MiscelaService {
                                 // A finish retried across the crash must
                                 // replay the original acknowledgment, not
                                 // re-commit.
-                                s.name = name.clone();
+                                s.name = scope.name.clone();
                                 self.remember(
                                     Some(&k),
                                     &scope,
@@ -674,7 +659,7 @@ impl MiscelaService {
                         // Rebuild the per-sequence acks exactly as the live
                         // path produced them, so duplicates retried across
                         // the crash still replay identical acknowledgments.
-                        acks.push((chunk.index, uploader.missing().len()));
+                        acks.push((chunk.index, uploader.missing_count()));
                     }
                     let acked_seq = acks.len() as u64;
                     self.store.shard(&scope.key).appends.lock().insert(
@@ -703,14 +688,7 @@ impl MiscelaService {
                 );
             }
         }
-        match Arc::get_mut(&mut self.store) {
-            Some(inner) => inner.durability = Some(Durability { store }),
-            None => {
-                return Err(ApiError::Internal(
-                    "durability must be attached before the store is shared".to_string(),
-                ))
-            }
-        }
+        self.store.durability = Some(Durability { store });
         Ok(self)
     }
 
@@ -795,18 +773,13 @@ impl MiscelaService {
 
     /// Why `name` is in read-only degraded mode, if it is: a WAL/snapshot
     /// write failed and the dataset stopped accepting durable writes until
-    /// the recovery probe re-arms it. Reads and mines keep serving.
-    pub fn degraded_reason(&self, name: &str) -> Option<String> {
-        self.degraded_reason_scoped(&Scope::default_tenant(name))
+    /// the recovery probe re-arms it. Reads and mines keep serving. A name
+    /// the call rejects reads as "not degraded".
+    pub fn degraded_reason(&self, call: &Call, name: &str) -> Option<String> {
+        self.degraded_reason_at(&call.scope(name).ok()?)
     }
 
-    /// [`MiscelaService::degraded_reason`] for a tenant's dataset. An
-    /// invalid tenant name reads as "not degraded".
-    pub fn degraded_reason_in(&self, tenant: &str, name: &str) -> Option<String> {
-        self.degraded_reason_scoped(&Scope::new(tenant, name).ok()?)
-    }
-
-    fn degraded_reason_scoped(&self, scope: &Scope) -> Option<String> {
+    fn degraded_reason_at(&self, scope: &Scope) -> Option<String> {
         self.store.durability.as_ref()?;
         self.store
             .shard(&scope.key)
@@ -825,7 +798,7 @@ impl MiscelaService {
     /// [`MiscelaService::durable`]); on failure it stays degraded and the
     /// caller gets the typed retryable error.
     fn ensure_durable_writable(&self, scope: &Scope) -> Result<(), ApiError> {
-        if self.degraded_reason_scoped(scope).is_none() {
+        if self.degraded_reason_at(scope).is_none() {
             return Ok(());
         }
         let entry = self.entry(scope)?;
@@ -856,17 +829,18 @@ impl MiscelaService {
         self.store.admission.stats()
     }
 
-    /// One tenant's slice of the admission counters, served by
+    /// The call's tenant's slice of the admission counters, served by
     /// `GET /tenants/{tenant}/admission/stats`. The in-flight budget itself
     /// stays machine-global; this reports how the tenant fared against it.
-    pub fn tenant_admission_stats(&self, tenant: &str) -> Result<TenantAdmissionStats, ApiError> {
-        validate_tenant(tenant)?;
-        Ok(self.store.tenant_state(tenant).admission_stats())
+    pub fn tenant_admission_stats(&self, call: &Call) -> TenantAdmissionStats {
+        self.store
+            .tenant_state(call.tenant_name())
+            .admission_stats()
     }
 
     /// Admits one unit of work for `scope`, charging the tenant's counters
     /// on the way through (or the way out).
-    fn admit_scoped(
+    fn admit(
         &self,
         scope: &Scope,
         cost: u64,
@@ -893,26 +867,14 @@ impl MiscelaService {
 
     /// WAL/snapshot statistics for one dataset's durability log, served by
     /// `GET /datasets/{name}/durability`.
-    pub fn durability_stats(&self, name: &str) -> Result<DurabilityStats, ApiError> {
-        self.durability_stats_scoped(&Scope::default_tenant(name))
-    }
-
-    /// [`MiscelaService::durability_stats`] for a tenant's dataset.
-    pub fn durability_stats_in(
-        &self,
-        tenant: &str,
-        name: &str,
-    ) -> Result<DurabilityStats, ApiError> {
-        self.durability_stats_scoped(&Scope::new(tenant, name)?)
-    }
-
-    fn durability_stats_scoped(&self, scope: &Scope) -> Result<DurabilityStats, ApiError> {
+    pub fn durability_stats(&self, call: &Call, name: &str) -> Result<DurabilityStats, ApiError> {
+        let scope = &call.scope(name)?;
         if self.store.durability.is_none() {
             return Err(ApiError::NotFound(
                 "durability is not enabled for this service".to_string(),
             ));
         }
-        self.dataset_revision_scoped(scope)?;
+        self.revision_at(scope)?;
         let states = self.store.shard(&scope.key).durable.lock();
         let state = states.get(&scope.key).ok_or_else(|| {
             ApiError::NotFound(format!("dataset {:?} has no durability log", scope.name))
@@ -928,29 +890,19 @@ impl MiscelaService {
     pub fn protocol_stats(&self) -> ProtocolStats {
         let mut total = ProtocolStats::default();
         for (_, tenant) in self.store.tenant_states() {
-            let p = tenant.protocol.lock();
-            total.cached_keys += p.entries.len();
-            total.key_replays += p.key_replays;
-            total.chunk_duplicates += p.chunk_duplicates;
-            total.sequence_gaps += p.sequence_gaps;
-            total.stale_sessions += p.stale_sessions;
+            total += tenant.protocol.lock().stats();
         }
         total
     }
 
-    /// One tenant's slice of the protocol counters, served by
+    /// The call's tenant's slice of the protocol counters, served by
     /// `GET /tenants/{tenant}/protocol/stats`.
-    pub fn protocol_stats_in(&self, tenant: &str) -> Result<ProtocolStats, ApiError> {
-        validate_tenant(tenant)?;
-        let state = self.store.tenant_state(tenant);
-        let p = state.protocol.lock();
-        Ok(ProtocolStats {
-            cached_keys: p.entries.len(),
-            key_replays: p.key_replays,
-            chunk_duplicates: p.chunk_duplicates,
-            sequence_gaps: p.sequence_gaps,
-            stale_sessions: p.stale_sessions,
-        })
+    pub fn tenant_protocol_stats(&self, call: &Call) -> ProtocolStats {
+        self.store
+            .tenant_state(call.tenant_name())
+            .protocol
+            .lock()
+            .stats()
     }
 
     /// Looks up a caller-supplied idempotency key in the scope's tenant
@@ -1049,27 +1001,15 @@ impl MiscelaService {
     /// The observable state of the in-progress append session for `name`
     /// (`Ok(None)` when no session is open), so a reconnecting client can
     /// resume from the acked-sequence watermark.
-    pub fn append_status(&self, name: &str) -> Result<Option<AppendStatus>, ApiError> {
-        self.append_status_scoped(&Scope::default_tenant(name))
-    }
-
-    /// [`MiscelaService::append_status`] for a tenant's dataset.
-    pub fn append_status_in(
-        &self,
-        tenant: &str,
-        name: &str,
-    ) -> Result<Option<AppendStatus>, ApiError> {
-        self.append_status_scoped(&Scope::new(tenant, name)?)
-    }
-
-    fn append_status_scoped(&self, scope: &Scope) -> Result<Option<AppendStatus>, ApiError> {
-        self.dataset_revision_scoped(scope)?;
+    pub fn append_status(&self, call: &Call, name: &str) -> Result<Option<AppendStatus>, ApiError> {
+        let scope = &call.scope(name)?;
+        self.revision_at(scope)?;
         let appends = self.store.shard(&scope.key).appends.lock();
         Ok(appends.get(&scope.key).map(|s| AppendStatus {
             session: s.session,
             acked_seq: s.acked_seq,
-            received: s.acks.len(),
-            missing: s.uploader.missing().len(),
+            received: s.uploader.chunks_received(),
+            missing: s.uploader.missing_count(),
         }))
     }
 
@@ -1124,23 +1064,17 @@ impl MiscelaService {
         let mut total = ExtractionCacheStats::default();
         for shard in &self.store.shards {
             for cache in shard.extraction.read().values() {
-                let s = cache.stats();
-                total.hits += s.hits;
-                total.misses += s.misses;
-                total.prefix_hits += s.prefix_hits;
-                total.prefix_misses += s.prefix_misses;
-                total.entries += s.entries;
-                total.evicted += s.evicted;
+                total += cache.stats();
             }
         }
         total
     }
 
-    /// One tenant's slice of the cache statistics — its resident dataset
-    /// count plus its extraction caches aggregated — served by
+    /// The call's tenant's slice of the cache statistics — its resident
+    /// dataset count plus its extraction caches aggregated — served by
     /// `GET /tenants/{tenant}/cache/stats`.
-    pub fn tenant_cache_stats(&self, tenant: &str) -> Result<TenantCacheStats, ApiError> {
-        validate_tenant(tenant)?;
+    pub fn tenant_cache_stats(&self, call: &Call) -> TenantCacheStats {
+        let tenant = call.tenant_name();
         let mut stats = TenantCacheStats::default();
         for shard in &self.store.shards {
             stats.datasets += shard
@@ -1150,36 +1084,26 @@ impl MiscelaService {
                 .filter(|key| key_tenant(key) == tenant)
                 .count();
             for (key, cache) in shard.extraction.read().iter() {
-                if key_tenant(key) != tenant {
-                    continue;
+                if key_tenant(key) == tenant {
+                    stats.extraction += cache.stats();
                 }
-                let s = cache.stats();
-                stats.extraction.hits += s.hits;
-                stats.extraction.misses += s.misses;
-                stats.extraction.prefix_hits += s.prefix_hits;
-                stats.extraction.prefix_misses += s.prefix_misses;
-                stats.extraction.entries += s.entries;
-                stats.extraction.evicted += s.evicted;
             }
         }
-        Ok(stats)
+        stats
     }
 
     // ----- tenancy -------------------------------------------------------
 
-    /// A tenant's resource limits (all-`None` until set).
-    pub fn quota(&self, tenant: &str) -> Result<TenantQuota, ApiError> {
-        validate_tenant(tenant)?;
-        Ok(*self.store.tenant_state(tenant).quota.read())
+    /// The call's tenant's resource limits (all-`None` until set).
+    pub fn quota(&self, call: &Call) -> TenantQuota {
+        *self.store.tenant_state(call.tenant_name()).quota.read()
     }
 
-    /// Installs a tenant's resource limits. Quotas are in-memory service
-    /// policy: they are not persisted by the durability layer and reset on
-    /// restart.
-    pub fn set_quota(&self, tenant: &str, quota: TenantQuota) -> Result<(), ApiError> {
-        validate_tenant(tenant)?;
-        *self.store.tenant_state(tenant).quota.write() = quota;
-        Ok(())
+    /// Installs the call's tenant's resource limits. Quotas are in-memory
+    /// service policy: they are not persisted by the durability layer and
+    /// reset on restart.
+    pub fn set_quota(&self, call: &Call, quota: TenantQuota) {
+        *self.store.tenant_state(call.tenant_name()).quota.write() = quota;
     }
 
     /// Enforces the tenant's registration-time quotas: a brand-new dataset
@@ -1238,40 +1162,33 @@ impl MiscelaService {
     ///
     /// On a durable service the registration is snapshotted; a snapshot
     /// failure is swallowed here (the in-memory registration stands) — use
-    /// [`MiscelaService::register_dataset_keyed_in`] when the caller needs
-    /// the durable acknowledgment. This legacy path is infallible by
-    /// signature, so it is also the one registration path that bypasses
-    /// tenant quotas (it serves trusted in-process generators; every
-    /// router-reachable path goes through the checked variants).
+    /// [`MiscelaService::register`] when the caller needs the durable
+    /// acknowledgment. This trusted path is infallible by signature, so it
+    /// is also the one registration path that bypasses tenant quotas (it
+    /// serves in-process generators; every router-reachable path goes
+    /// through the checked one).
     pub fn register_dataset(&self, dataset: Dataset) -> DatasetSummary {
-        let scope = Scope::default_tenant(dataset.name());
+        let scope = Call::default()
+            .scope(dataset.name())
+            .expect("the default tenant accepts every name");
         let (summary, _durable) = self.register_dataset_impl(&scope, dataset, None, 0);
         summary
     }
 
-    /// Like [`MiscelaService::register_dataset`], into a tenant's
-    /// namespace, under the tenant's quota, and surfacing a durable snapshot
-    /// failure as an error: on `Ok` the registration is on disk and
-    /// survives a crash. A retry that carries the same idempotency key
-    /// replays the original summary (`replayed = true`) instead of
-    /// re-registering — re-registering would bump the revision and
-    /// invalidate caches twice.
-    pub fn register_dataset_keyed_in(
+    /// The checked registration: like [`MiscelaService::register_dataset`],
+    /// into the call's namespace, under the tenant's quota, and surfacing a
+    /// durable snapshot failure as an error: on `Ok` the registration is on
+    /// disk and survives a crash. A retry that carries the call's
+    /// idempotency key replays the original summary (`replayed = true`)
+    /// instead of re-registering — re-registering would bump the revision
+    /// and invalidate caches twice.
+    pub fn register(
         &self,
-        tenant: &str,
+        call: &Call,
         dataset: Dataset,
-        key: Option<&str>,
     ) -> Result<(DatasetSummary, bool), ApiError> {
-        let scope = Scope::new(tenant, dataset.name())?;
-        self.register_dataset_scoped(&scope, dataset, key)
-    }
-
-    fn register_dataset_scoped(
-        &self,
-        scope: &Scope,
-        dataset: Dataset,
-        key: Option<&str>,
-    ) -> Result<(DatasetSummary, bool), ApiError> {
+        let scope = &call.scope(dataset.name())?;
+        let key = call.key();
         if let Some(outcome) = self.replay_lookup(key, scope)? {
             return match outcome {
                 ReplayOutcome::Register { summary, .. } => Ok((summary, true)),
@@ -1375,13 +1292,8 @@ impl MiscelaService {
     }
 
     /// Fetches a registered dataset by name.
-    pub fn dataset(&self, name: &str) -> Result<Arc<Dataset>, ApiError> {
-        self.entry(&Scope::default_tenant(name)).map(|e| e.dataset)
-    }
-
-    /// [`MiscelaService::dataset`] in a tenant's namespace.
-    pub fn dataset_in(&self, tenant: &str, name: &str) -> Result<Arc<Dataset>, ApiError> {
-        self.entry(&Scope::new(tenant, name)?).map(|e| e.dataset)
+    pub fn dataset(&self, call: &Call, name: &str) -> Result<Arc<Dataset>, ApiError> {
+        self.entry(&call.scope(name)?).map(|e| e.dataset)
     }
 
     /// The current revision counter of a registered dataset. Revisions
@@ -1390,16 +1302,11 @@ impl MiscelaService {
     /// series are not resident (a reloaded store from a previous session)
     /// resolve through their store record, so cached results stay
     /// servable without a re-upload.
-    pub fn dataset_revision(&self, name: &str) -> Result<u64, ApiError> {
-        self.dataset_revision_scoped(&Scope::default_tenant(name))
+    pub fn dataset_revision(&self, call: &Call, name: &str) -> Result<u64, ApiError> {
+        self.revision_at(&call.scope(name)?)
     }
 
-    /// [`MiscelaService::dataset_revision`] in a tenant's namespace.
-    pub fn dataset_revision_in(&self, tenant: &str, name: &str) -> Result<u64, ApiError> {
-        self.dataset_revision_scoped(&Scope::new(tenant, name)?)
-    }
-
-    fn dataset_revision_scoped(&self, scope: &Scope) -> Result<u64, ApiError> {
+    fn revision_at(&self, scope: &Scope) -> Result<u64, ApiError> {
         if let Some(e) = self.store.shard(&scope.key).datasets.read().get(&scope.key) {
             return Ok(e.revision);
         }
@@ -1449,16 +1356,8 @@ impl MiscelaService {
     // ----- sliding-window retention --------------------------------------
 
     /// The retention policy of a resident dataset.
-    pub fn retention(&self, name: &str) -> Result<RetentionPolicy, ApiError> {
-        Ok(*self
-            .entry(&Scope::default_tenant(name))?
-            .dataset
-            .retention())
-    }
-
-    /// [`MiscelaService::retention`] in a tenant's namespace.
-    pub fn retention_in(&self, tenant: &str, name: &str) -> Result<RetentionPolicy, ApiError> {
-        Ok(*self.entry(&Scope::new(tenant, name)?)?.dataset.retention())
+    pub fn retention(&self, call: &Call, name: &str) -> Result<RetentionPolicy, ApiError> {
+        Ok(*self.entry(&call.scope(name)?)?.dataset.retention())
     }
 
     /// Installs a sliding-window retention policy on a registered dataset
@@ -1471,36 +1370,18 @@ impl MiscelaService {
     /// immediate trim dropped anything the revision is bumped — trimmed
     /// content must never be served from cache — and superseded cache
     /// generations are collected.
+    ///
+    /// A retry carrying the call's idempotency key replays the original
+    /// summary (`replayed = true`) instead of re-applying — a blind retry
+    /// would observe `trimmed_timestamps = 0` and a different revision.
     pub fn set_retention(
         &self,
+        call: &Call,
         name: &str,
         policy: RetentionPolicy,
-    ) -> Result<RetentionSummary, ApiError> {
-        self.set_retention_scoped(&Scope::default_tenant(name), policy, None)
-            .map(|(s, _)| s)
-    }
-
-    /// [`MiscelaService::set_retention`] in a tenant's namespace, with an
-    /// optional idempotency key: a retry carrying the same key replays the
-    /// original summary (`replayed = true`) instead of re-applying — a
-    /// blind retry would observe `trimmed_timestamps = 0` and a different
-    /// revision.
-    pub fn set_retention_keyed_in(
-        &self,
-        tenant: &str,
-        name: &str,
-        policy: RetentionPolicy,
-        key: Option<&str>,
     ) -> Result<(RetentionSummary, bool), ApiError> {
-        self.set_retention_scoped(&Scope::new(tenant, name)?, policy, key)
-    }
-
-    fn set_retention_scoped(
-        &self,
-        scope: &Scope,
-        policy: RetentionPolicy,
-        key: Option<&str>,
-    ) -> Result<(RetentionSummary, bool), ApiError> {
+        let scope = &call.scope(name)?;
+        let key = call.key();
         if let Some(outcome) = self.replay_lookup(key, scope)? {
             return match outcome {
                 ReplayOutcome::Retention { summary } => Ok((summary, true)),
@@ -1588,23 +1469,16 @@ impl MiscelaService {
         Ok((summary, false))
     }
 
-    /// Lists the default tenant's registered datasets (from the store, so
+    /// Lists the call's tenant's registered datasets (from the store, so
     /// names uploaded by previous sessions appear even if their series are
     /// not resident).
-    pub fn list_datasets(&self) -> Vec<DatasetSummary> {
-        self.list_datasets_tenant(DEFAULT_TENANT)
-    }
-
-    /// Lists a tenant's registered datasets.
-    pub fn list_datasets_in(&self, tenant: &str) -> Result<Vec<DatasetSummary>, ApiError> {
-        validate_tenant(tenant)?;
-        Ok(self.list_datasets_tenant(tenant))
-    }
-
-    fn list_datasets_tenant(&self, tenant: &str) -> Vec<DatasetSummary> {
+    pub fn list_datasets(&self, call: &Call) -> Vec<DatasetSummary> {
         self.store
             .db
-            .find(DATASETS_COLLECTION, &Filter::eq("tenant", tenant))
+            .find(
+                DATASETS_COLLECTION,
+                &Filter::eq("tenant", call.tenant_name()),
+            )
             .into_iter()
             .filter_map(|doc| {
                 Some(DatasetSummary {
@@ -1626,28 +1500,16 @@ impl MiscelaService {
     /// cache, whose states can never be valid for another dataset name),
     /// along with any in-flight upload/append session targeting it and its
     /// on-disk durability log.
-    pub fn delete_dataset(&self, name: &str) -> Result<(), ApiError> {
-        self.delete_dataset_scoped(&Scope::default_tenant(name), None)
-            .map(|_| ())
-    }
-
-    /// [`MiscelaService::delete_dataset`] in a tenant's namespace, with an
-    /// optional idempotency key: a retry carrying the same key replays the
-    /// original acknowledgment (`replayed = true`) instead of reporting 404
-    /// for the already-deleted dataset. The delete entry lives only in the
+    ///
+    /// A retry carrying the call's idempotency key replays the original
+    /// acknowledgment (`replayed = true`) instead of reporting 404 for the
+    /// already-deleted dataset. The delete entry lives only in the
     /// in-memory cache — the durability log is removed with the dataset —
     /// so across a crash a retried delete falls back to 404, which clients
     /// treat as confirmation.
-    pub fn delete_dataset_keyed_in(
-        &self,
-        tenant: &str,
-        name: &str,
-        key: Option<&str>,
-    ) -> Result<bool, ApiError> {
-        self.delete_dataset_scoped(&Scope::new(tenant, name)?, key)
-    }
-
-    fn delete_dataset_scoped(&self, scope: &Scope, key: Option<&str>) -> Result<bool, ApiError> {
+    pub fn delete_dataset(&self, call: &Call, name: &str) -> Result<bool, ApiError> {
+        let scope = &call.scope(name)?;
+        let key = call.key();
         if let Some(outcome) = self.replay_lookup(key, scope)? {
             return match outcome {
                 ReplayOutcome::Delete => Ok(true),
@@ -1697,48 +1559,19 @@ impl MiscelaService {
 
     /// Starts a chunked upload: the client sends `location.csv` and
     /// `attribute.csv` up front, then streams `data.csv` chunks.
+    ///
+    /// A retry carrying the call's idempotency key acknowledges without
+    /// resetting the session (`replayed = true`) — a blind retried begin
+    /// would discard every chunk accepted since the original.
     pub fn begin_upload(
         &self,
+        call: &Call,
         dataset: &str,
         location_csv_text: &str,
         attribute_csv_text: &str,
-    ) -> Result<(), ApiError> {
-        self.begin_upload_scoped(
-            &Scope::default_tenant(dataset),
-            location_csv_text,
-            attribute_csv_text,
-            None,
-        )
-        .map(|_| ())
-    }
-
-    /// [`MiscelaService::begin_upload`] in a tenant's namespace, with an
-    /// optional idempotency key: a retry carrying the same key acknowledges
-    /// without resetting the session (`replayed = true`) — a blind retried
-    /// begin would discard every chunk accepted since the original.
-    pub fn begin_upload_keyed_in(
-        &self,
-        tenant: &str,
-        dataset: &str,
-        location_csv_text: &str,
-        attribute_csv_text: &str,
-        key: Option<&str>,
     ) -> Result<bool, ApiError> {
-        self.begin_upload_scoped(
-            &Scope::new(tenant, dataset)?,
-            location_csv_text,
-            attribute_csv_text,
-            key,
-        )
-    }
-
-    fn begin_upload_scoped(
-        &self,
-        scope: &Scope,
-        location_csv_text: &str,
-        attribute_csv_text: &str,
-        key: Option<&str>,
-    ) -> Result<bool, ApiError> {
+        let scope = &call.scope(dataset)?;
+        let key = call.key();
         if let Some(outcome) = self.replay_lookup(key, scope)? {
             return match outcome {
                 ReplayOutcome::UploadBegin => Ok(true),
@@ -1768,21 +1601,13 @@ impl MiscelaService {
 
     /// Accepts one `data.csv` chunk for an upload in progress. Returns the
     /// number of chunks still missing.
-    pub fn upload_chunk(&self, dataset: &str, chunk: &Chunk) -> Result<usize, ApiError> {
-        self.upload_chunk_scoped(&Scope::default_tenant(dataset), chunk)
-    }
-
-    /// [`MiscelaService::upload_chunk`] in a tenant's namespace.
-    pub fn upload_chunk_in(
+    pub fn upload_chunk(
         &self,
-        tenant: &str,
+        call: &Call,
         dataset: &str,
         chunk: &Chunk,
     ) -> Result<usize, ApiError> {
-        self.upload_chunk_scoped(&Scope::new(tenant, dataset)?, chunk)
-    }
-
-    fn upload_chunk_scoped(&self, scope: &Scope, chunk: &Chunk) -> Result<usize, ApiError> {
+        let scope = &call.scope(dataset)?;
         let mut uploads = self.store.shard(&scope.key).uploads.lock();
         let session = uploads.get_mut(&scope.key).ok_or_else(|| {
             ApiError::NotFound(format!("no upload in progress for {:?}", scope.name))
@@ -1791,34 +1616,23 @@ impl MiscelaService {
             .uploader
             .accept(chunk)
             .map_err(|e| ApiError::BadRequest(format!("chunk {}: {e}", chunk.index)))?;
-        Ok(session.uploader.missing().len())
+        Ok(session.uploader.missing_count())
     }
 
     /// Completes an upload: assembles the chunks, builds the dataset and
-    /// registers it. Returns the dataset summary and the upload duration.
-    pub fn finish_upload(&self, dataset: &str) -> Result<(DatasetSummary, Duration), ApiError> {
-        self.finish_upload_scoped(&Scope::default_tenant(dataset), None)
-            .map(|(s, d, _)| (s, d))
-    }
-
-    /// [`MiscelaService::finish_upload`] in a tenant's namespace, with an
-    /// optional idempotency key: a retry carrying the same key replays the
-    /// original summary (`replayed = true`) instead of reporting "no upload
-    /// in progress" — the original finish consumed the session.
-    pub fn finish_upload_keyed_in(
+    /// registers it. Returns the dataset summary, the upload duration and
+    /// whether the outcome was replayed.
+    ///
+    /// A retry carrying the call's idempotency key replays the original
+    /// summary (`replayed = true`) instead of reporting "no upload in
+    /// progress" — the original finish consumed the session.
+    pub fn finish_upload(
         &self,
-        tenant: &str,
+        call: &Call,
         dataset: &str,
-        key: Option<&str>,
     ) -> Result<(DatasetSummary, Duration, bool), ApiError> {
-        self.finish_upload_scoped(&Scope::new(tenant, dataset)?, key)
-    }
-
-    fn finish_upload_scoped(
-        &self,
-        scope: &Scope,
-        key: Option<&str>,
-    ) -> Result<(DatasetSummary, Duration, bool), ApiError> {
+        let scope = &call.scope(dataset)?;
+        let key = call.key();
         if let Some(outcome) = self.replay_lookup(key, scope)? {
             return match outcome {
                 ReplayOutcome::Register {
@@ -1861,31 +1675,15 @@ impl MiscelaService {
     /// client then streams `data.csv` chunks of new rows through
     /// [`MiscelaService::append_chunk`]. Unlike an upload, no
     /// `location.csv`/`attribute.csv` are sent — the sensors must already
-    /// exist.
-    pub fn begin_append(&self, dataset: &str) -> Result<(), ApiError> {
-        self.begin_append_scoped(&Scope::default_tenant(dataset), None)
-            .map(|_| ())
-    }
-
-    /// [`MiscelaService::begin_append`] in a tenant's namespace, with an
-    /// optional idempotency key, returning the session id the client must
-    /// echo on every sequenced chunk. A retry carrying the same key replays
-    /// the original session id (`replayed = true`) instead of reporting a
-    /// conflict with the session it itself opened.
-    pub fn begin_append_keyed_in(
-        &self,
-        tenant: &str,
-        dataset: &str,
-        key: Option<&str>,
-    ) -> Result<BeginAppendOutcome, ApiError> {
-        self.begin_append_scoped(&Scope::new(tenant, dataset)?, key)
-    }
-
-    fn begin_append_scoped(
-        &self,
-        scope: &Scope,
-        key: Option<&str>,
-    ) -> Result<BeginAppendOutcome, ApiError> {
+    /// exist. Returns the session id the client must echo on every
+    /// sequenced chunk.
+    ///
+    /// A retry carrying the call's idempotency key replays the original
+    /// session id (`replayed = true`) instead of reporting a conflict with
+    /// the session it itself opened.
+    pub fn begin_append(&self, call: &Call, dataset: &str) -> Result<BeginAppendOutcome, ApiError> {
+        let scope = &call.scope(dataset)?;
+        let key = call.key();
         if let Some(outcome) = self.replay_lookup(key, scope)? {
             return match outcome {
                 ReplayOutcome::Begin { session } => Ok(BeginAppendOutcome {
@@ -1966,36 +1764,106 @@ impl MiscelaService {
 
     /// Accepts one `data.csv` chunk for an append in progress — the same
     /// chunk envelope and parsing as [`MiscelaService::upload_chunk`].
-    /// Returns the number of chunks still missing.
     ///
     /// On a durable service the chunk is logged to the WAL and fsynced
     /// *before* this returns `Ok`: an acknowledged chunk survives a crash
     /// at any later point, recoverable into the restored session.
-    pub fn append_chunk(&self, dataset: &str, chunk: &Chunk) -> Result<usize, ApiError> {
-        self.append_chunk_scoped(&Scope::default_tenant(dataset), chunk)
-    }
-
-    /// [`MiscelaService::append_chunk`] in a tenant's namespace.
-    pub fn append_chunk_in(
+    ///
+    /// With `seq = Some((session, seq))` the delivery is sequenced: the
+    /// client numbers each chunk delivery 1, 2, 3… within the session and
+    /// echoes the session id from [`MiscelaService::begin_append`]. This
+    /// makes chunk delivery exactly-once under loss, duplication and
+    /// reordering:
+    ///
+    /// * `seq` at or below the acked watermark → the chunk was already
+    ///   accepted (the ack got lost); the original acknowledgment is
+    ///   replayed byte-identically and nothing is re-applied or re-logged;
+    /// * `seq` more than one past the watermark → a gap (an earlier chunk
+    ///   is still in flight); typed 412 carrying the watermark so the
+    ///   client rewinds instead of blindly retrying;
+    /// * a session id other than the open session's → the session is stale
+    ///   (the server restarted it, or a registration dropped it); typed
+    ///   412 telling the client which session is current.
+    pub fn append_chunk(
         &self,
-        tenant: &str,
+        call: &Call,
         dataset: &str,
+        seq: Option<(u64, u64)>,
         chunk: &Chunk,
-    ) -> Result<usize, ApiError> {
-        self.append_chunk_scoped(&Scope::new(tenant, dataset)?, chunk)
-    }
-
-    fn append_chunk_scoped(&self, scope: &Scope, chunk: &Chunk) -> Result<usize, ApiError> {
+    ) -> Result<ChunkAck, ApiError> {
+        let scope = &call.scope(dataset)?;
+        if let Some((_, 0)) = seq {
+            return Err(ApiError::BadRequest(
+                "chunk sequence numbers start at 1".to_string(),
+            ));
+        }
         // A degraded dataset stops acknowledging chunks; the probe re-arms
         // the write path (re-logging every previously acknowledged chunk)
         // before any new chunk is accepted.
         self.ensure_durable_writable(scope)?;
         let durable = self.store.durability.is_some();
-        let (missing, session_id, seq) = {
-            let mut appends = self.store.shard(&scope.key).appends.lock();
+        let shard = self.store.shard(&scope.key);
+        let (session_id, log_seq, unsequenced) = {
+            let mut appends = shard.appends.lock();
             let session = appends.get_mut(&scope.key).ok_or_else(|| {
                 ApiError::NotFound(format!("no append in progress for {:?}", scope.name))
             })?;
+            if let Some((session_id, seq)) = seq {
+                if session.session != session_id {
+                    let expected_session = session.session;
+                    let expected_seq = session.acked_seq + 1;
+                    drop(appends);
+                    self.store
+                        .tenant_state(&scope.tenant)
+                        .protocol
+                        .lock()
+                        .stale_sessions += 1;
+                    return Err(ApiError::SequenceGap {
+                        message: format!(
+                            "append session {session_id} for {:?} is stale; \
+                             the open session is {expected_session}",
+                            scope.name
+                        ),
+                        expected_session,
+                        expected_seq,
+                    });
+                }
+                if seq <= session.acked_seq {
+                    // Duplicate delivery: replay the original ack verbatim.
+                    let (accepted, missing) = session.acks[(seq - 1) as usize];
+                    let acked_seq = session.acked_seq;
+                    drop(appends);
+                    self.store
+                        .tenant_state(&scope.tenant)
+                        .protocol
+                        .lock()
+                        .chunk_duplicates += 1;
+                    return Ok(ChunkAck {
+                        accepted,
+                        missing,
+                        acked_seq,
+                        replayed: true,
+                    });
+                }
+                if seq > session.acked_seq + 1 {
+                    let expected_session = session.session;
+                    let expected_seq = session.acked_seq + 1;
+                    drop(appends);
+                    self.store
+                        .tenant_state(&scope.tenant)
+                        .protocol
+                        .lock()
+                        .sequence_gaps += 1;
+                    return Err(ApiError::SequenceGap {
+                        message: format!(
+                            "chunk sequence gap for {:?}: got {seq}, expected {expected_seq}",
+                            scope.name
+                        ),
+                        expected_session,
+                        expected_seq,
+                    });
+                }
+            }
             session
                 .uploader
                 .accept(chunk)
@@ -2009,153 +1877,35 @@ impl MiscelaService {
                     None => session.chunks.push(chunk.clone()),
                 }
             }
-            (
-                session.uploader.missing().len(),
-                session.session,
-                session.chunks.len() as u64,
-            )
+            let unsequenced = ChunkAck {
+                accepted: chunk.index,
+                missing: session.uploader.missing_count(),
+                acked_seq: session.acked_seq,
+                replayed: false,
+            };
+            let log_seq = seq.map_or(session.chunks.len() as u64, |(_, seq)| seq);
+            (session.session, log_seq, unsequenced)
         };
+        // The WAL write happens outside the appends lock; a sequenced ack —
+        // and its watermark bump — only after it fsyncs, so an
+        // acknowledged sequence number is always durable.
         if let Some(result) = self.durable(scope, |state| {
             state
                 .log
-                .log(&durability::chunk_record(session_id, seq, chunk))
+                .log(&durability::chunk_record(session_id, log_seq, chunk))
                 .map_err(wal_err)?;
             state.log.commit().map_err(wal_err)
         }) {
             result?;
         }
-        Ok(missing)
-    }
-
-    /// Sequenced [`MiscelaService::append_chunk_in`]: the client numbers
-    /// each chunk delivery 1, 2, 3… within the session and echoes the
-    /// session id from [`MiscelaService::begin_append_keyed_in`]. This makes
-    /// chunk
-    /// delivery exactly-once under loss, duplication and reordering:
-    ///
-    /// * `seq` at or below the acked watermark → the chunk was already
-    ///   accepted (the ack got lost); the original acknowledgment is
-    ///   replayed byte-identically and nothing is re-applied or re-logged;
-    /// * `seq` more than one past the watermark → a gap (an earlier chunk
-    ///   is still in flight); typed 412 carrying the watermark so the
-    ///   client rewinds instead of blindly retrying;
-    /// * a session id other than the open session's → the session is stale
-    ///   (the server restarted it, or a registration dropped it); typed
-    ///   412 telling the client which session is current.
-    pub fn append_chunk_seq_in(
-        &self,
-        tenant: &str,
-        dataset: &str,
-        session_id: u64,
-        seq: u64,
-        chunk: &Chunk,
-    ) -> Result<ChunkAck, ApiError> {
-        self.append_chunk_seq_scoped(&Scope::new(tenant, dataset)?, session_id, seq, chunk)
-    }
-
-    fn append_chunk_seq_scoped(
-        &self,
-        scope: &Scope,
-        session_id: u64,
-        seq: u64,
-        chunk: &Chunk,
-    ) -> Result<ChunkAck, ApiError> {
-        if seq == 0 {
-            return Err(ApiError::BadRequest(
-                "chunk sequence numbers start at 1".to_string(),
-            ));
-        }
-        self.ensure_durable_writable(scope)?;
-        let durable = self.store.durability.is_some();
-        let shard = self.store.shard(&scope.key);
-        {
-            let mut appends = shard.appends.lock();
-            let session = appends.get_mut(&scope.key).ok_or_else(|| {
-                ApiError::NotFound(format!("no append in progress for {:?}", scope.name))
-            })?;
-            if session.session != session_id {
-                let expected_session = session.session;
-                let expected_seq = session.acked_seq + 1;
-                drop(appends);
-                self.store
-                    .tenant_state(&scope.tenant)
-                    .protocol
-                    .lock()
-                    .stale_sessions += 1;
-                return Err(ApiError::SequenceGap {
-                    message: format!(
-                        "append session {session_id} for {:?} is stale; \
-                         the open session is {expected_session}",
-                        scope.name
-                    ),
-                    expected_session,
-                    expected_seq,
-                });
-            }
-            if seq <= session.acked_seq {
-                // Duplicate delivery: replay the original ack verbatim.
-                let (accepted, missing) = session.acks[(seq - 1) as usize];
-                let acked_seq = session.acked_seq;
-                drop(appends);
-                self.store
-                    .tenant_state(&scope.tenant)
-                    .protocol
-                    .lock()
-                    .chunk_duplicates += 1;
-                return Ok(ChunkAck {
-                    accepted,
-                    missing,
-                    acked_seq,
-                    replayed: true,
-                });
-            }
-            if seq > session.acked_seq + 1 {
-                let expected_session = session.session;
-                let expected_seq = session.acked_seq + 1;
-                drop(appends);
-                self.store
-                    .tenant_state(&scope.tenant)
-                    .protocol
-                    .lock()
-                    .sequence_gaps += 1;
-                return Err(ApiError::SequenceGap {
-                    message: format!(
-                        "chunk sequence gap for {:?}: got {seq}, expected {expected_seq}",
-                        scope.name
-                    ),
-                    expected_session,
-                    expected_seq,
-                });
-            }
-            session
-                .uploader
-                .accept(chunk)
-                .map_err(|e| ApiError::BadRequest(format!("chunk {}: {e}", chunk.index)))?;
-            if durable {
-                match session.chunks.iter_mut().find(|c| c.index == chunk.index) {
-                    Some(slot) => *slot = chunk.clone(),
-                    None => session.chunks.push(chunk.clone()),
-                }
-            }
-        }
-        // The WAL write happens outside the appends lock (same discipline
-        // as the unsequenced path); the ack — and the watermark bump — only
-        // after it fsyncs, so an acknowledged sequence number is always
-        // durable.
-        if let Some(result) = self.durable(scope, |state| {
-            state
-                .log
-                .log(&durability::chunk_record(session_id, seq, chunk))
-                .map_err(wal_err)?;
-            state.log.commit().map_err(wal_err)
-        }) {
-            result?;
-        }
+        let Some((_, seq)) = seq else {
+            return Ok(unsequenced);
+        };
         let mut appends = shard.appends.lock();
         let session = appends.get_mut(&scope.key).ok_or_else(|| {
             ApiError::NotFound(format!("no append in progress for {:?}", scope.name))
         })?;
-        let missing = session.uploader.missing().len();
+        let missing = session.uploader.missing_count();
         if session.acked_seq < seq {
             session.acked_seq = seq;
             session.acks.push((chunk.index, missing));
@@ -2171,43 +1921,23 @@ impl MiscelaService {
     /// Completes an append: applies the assembled rows to the registered
     /// dataset in place (grid and every series extended with missing-value
     /// fill), bumps the dataset revision, and drops cached results of the
-    /// superseded revisions. Returns the summary and the session duration.
-    pub fn finish_append(&self, dataset: &str) -> Result<(AppendSummary, Duration), ApiError> {
-        self.finish_append_keyed(dataset, None)
-            .map(|(s, d, _)| (s, d))
-    }
-
-    /// Like [`MiscelaService::finish_append`], with an optional idempotency
-    /// key: a retry carrying the same key replays the original summary
-    /// (`replayed = true`) instead of re-applying — the original finish
-    /// consumed the session, so a blind retry would double-apply (or
+    /// superseded revisions. Returns the summary, the session duration and
+    /// whether the outcome was replayed.
+    ///
+    /// A retry carrying the call's idempotency key replays the original
+    /// summary (`replayed = true`) instead of re-applying — the original
+    /// finish consumed the session, so a blind retry would double-apply (or
     /// report "no append in progress" and leave the client unable to tell
     /// whether its rows committed). The keyed response is also carried in
     /// the session's WAL commit record, so the replay survives a crash
     /// between the commit and the retry.
-    pub fn finish_append_keyed(
+    pub fn finish_append(
         &self,
+        call: &Call,
         dataset: &str,
-        key: Option<&str>,
     ) -> Result<(AppendSummary, Duration, bool), ApiError> {
-        self.finish_append_scoped(&Scope::default_tenant(dataset), key)
-    }
-
-    /// [`MiscelaService::finish_append_keyed`] in a tenant's namespace.
-    pub fn finish_append_keyed_in(
-        &self,
-        tenant: &str,
-        dataset: &str,
-        key: Option<&str>,
-    ) -> Result<(AppendSummary, Duration, bool), ApiError> {
-        self.finish_append_scoped(&Scope::new(tenant, dataset)?, key)
-    }
-
-    fn finish_append_scoped(
-        &self,
-        scope: &Scope,
-        key: Option<&str>,
-    ) -> Result<(AppendSummary, Duration, bool), ApiError> {
+        let scope = &call.scope(dataset)?;
+        let key = call.key();
         if let Some(outcome) = self.replay_lookup(key, scope)? {
             return match outcome {
                 ReplayOutcome::Finish {
@@ -2223,7 +1953,7 @@ impl MiscelaService {
         // cannot starve mines of budget. Admission happens before the
         // session is consumed, so a shed finish leaves the session intact
         // for a retry.
-        let _permit = self.admit_scoped(scope, APPEND_COST, None)?;
+        let _permit = self.admit(scope, APPEND_COST, None)?;
         let shard = self.store.shard(&scope.key);
         let session = shard.appends.lock().remove(&scope.key).ok_or_else(|| {
             ApiError::NotFound(format!("no append in progress for {:?}", scope.name))
@@ -2346,151 +2076,75 @@ impl MiscelaService {
 
     /// Convenience wrapper: appends a full `data.csv` document of new rows
     /// by splitting it into paper-sized chunks and driving the append-chunk
-    /// protocol.
+    /// protocol. The call's idempotency key is not used: one key cannot
+    /// name the three mutations the wrapper drives.
     pub fn append_documents(
         &self,
+        call: &Call,
         dataset: &str,
         data_csv_text: &str,
         chunk_lines: usize,
     ) -> Result<AppendSummary, ApiError> {
-        self.begin_append(dataset)?;
+        let call = &call.clone().with_key(None);
+        self.begin_append(call, dataset)?;
         for chunk in miscela_csv::split_into_chunks(data_csv_text, chunk_lines) {
-            self.append_chunk(dataset, &chunk)?;
+            self.append_chunk(call, dataset, None, &chunk)?;
         }
-        let (summary, _) = self.finish_append(dataset)?;
-        Ok(summary)
-    }
-
-    /// [`MiscelaService::append_documents`] in a tenant's namespace.
-    pub fn append_documents_in(
-        &self,
-        tenant: &str,
-        dataset: &str,
-        data_csv_text: &str,
-        chunk_lines: usize,
-    ) -> Result<AppendSummary, ApiError> {
-        self.begin_append_keyed_in(tenant, dataset, None)?;
-        for chunk in miscela_csv::split_into_chunks(data_csv_text, chunk_lines) {
-            self.append_chunk_in(tenant, dataset, &chunk)?;
-        }
-        let (summary, _, _) = self.finish_append_keyed_in(tenant, dataset, None)?;
+        let (summary, _, _) = self.finish_append(call, dataset)?;
         Ok(summary)
     }
 
     /// Convenience wrapper: uploads a full `data.csv` document by splitting
-    /// it into paper-sized chunks and driving the chunk protocol.
+    /// it into paper-sized chunks and driving the chunk protocol. The call's
+    /// idempotency key is not used, as in
+    /// [`MiscelaService::append_documents`].
     pub fn upload_documents(
         &self,
+        call: &Call,
         dataset: &str,
         data_csv_text: &str,
         location_csv_text: &str,
         attribute_csv_text: &str,
         chunk_lines: usize,
     ) -> Result<DatasetSummary, ApiError> {
-        self.begin_upload(dataset, location_csv_text, attribute_csv_text)?;
+        let call = &call.clone().with_key(None);
+        self.begin_upload(call, dataset, location_csv_text, attribute_csv_text)?;
         for chunk in miscela_csv::split_into_chunks(data_csv_text, chunk_lines) {
-            self.upload_chunk(dataset, &chunk)?;
+            self.upload_chunk(call, dataset, &chunk)?;
         }
-        let (summary, _) = self.finish_upload(dataset)?;
-        Ok(summary)
-    }
-
-    /// [`MiscelaService::upload_documents`] in a tenant's namespace.
-    pub fn upload_documents_in(
-        &self,
-        tenant: &str,
-        dataset: &str,
-        data_csv_text: &str,
-        location_csv_text: &str,
-        attribute_csv_text: &str,
-        chunk_lines: usize,
-    ) -> Result<DatasetSummary, ApiError> {
-        self.begin_upload_keyed_in(tenant, dataset, location_csv_text, attribute_csv_text, None)?;
-        for chunk in miscela_csv::split_into_chunks(data_csv_text, chunk_lines) {
-            self.upload_chunk_in(tenant, dataset, &chunk)?;
-        }
-        let (summary, _, _) = self.finish_upload_keyed_in(tenant, dataset, None)?;
+        let (summary, _, _) = self.finish_upload(call, dataset)?;
         Ok(summary)
     }
 
     // ----- mining ---------------------------------------------------------
 
-    /// Mines a registered dataset with the given parameters, consulting the
-    /// cache first (Section 3.3). The cache key carries the dataset's
-    /// current revision, so results mined before an append can never be
-    /// served for the appended content.
-    pub fn mine(&self, dataset: &str, params: &MiningParams) -> Result<MineOutcome, ApiError> {
-        self.mine_cancellable(dataset, params, None, &CancelToken::never())
-    }
-
-    /// [`MiscelaService::mine`] in a tenant's namespace.
-    pub fn mine_in(
-        &self,
-        tenant: &str,
-        dataset: &str,
-        params: &MiningParams,
-    ) -> Result<MineOutcome, ApiError> {
-        self.mine_cancellable_in(tenant, dataset, params, None, &CancelToken::never())
-    }
-
-    /// Like [`MiscelaService::mine`], with a wall-clock deadline: the
-    /// request fails with [`ApiError::DeadlineExceeded`] if it is still
-    /// queued for admission at the deadline, and an in-flight mine aborts
-    /// cooperatively within a bounded stride once the deadline passes.
-    /// Cache hits are served even past the deadline — they cost nothing.
-    pub fn mine_with_deadline(
-        &self,
-        dataset: &str,
-        params: &MiningParams,
-        deadline: Option<Instant>,
-    ) -> Result<MineOutcome, ApiError> {
-        self.mine_cancellable(dataset, params, deadline, &CancelToken::never())
-    }
-
-    /// The full serving path under overload protection: cache lookup →
-    /// cost-weighted admission (bounded queue, immediate shedding beyond
-    /// it) → cancellable mine.
+    /// Mines a registered dataset with the given parameters under overload
+    /// protection: result-cache lookup (Section 3.3) → cost-weighted
+    /// admission (bounded queue, immediate shedding beyond it) →
+    /// cancellable mine. The cache key carries the dataset's current
+    /// revision, so results mined before an append can never be served for
+    /// the appended content.
     ///
-    /// `cancel` lets a caller abort the mine from another thread; `deadline`
-    /// additionally bounds both queueing and mining time. A cancelled or
-    /// timed-out mine writes nothing into the result cache (only
-    /// content-keyed per-series extraction states, which are valid for any
-    /// retry), so a subsequent identical request recomputes and caches the
-    /// complete result.
-    pub fn mine_cancellable(
+    /// The call's cancel token lets a caller abort the mine from another
+    /// thread; its deadline additionally bounds both queueing and mining
+    /// time ([`ApiError::DeadlineExceeded`]). Cache hits are served even
+    /// past the deadline — they cost nothing. A cancelled or timed-out mine
+    /// writes nothing into the result cache (only content-keyed per-series
+    /// extraction states, which are valid for any retry), so a subsequent
+    /// identical request recomputes and caches the complete result. A solo
+    /// mine mutates nothing, so it ignores the call's idempotency key.
+    pub fn mine(
         &self,
+        call: &Call,
         dataset: &str,
         params: &MiningParams,
-        deadline: Option<Instant>,
-        cancel: &CancelToken,
-    ) -> Result<MineOutcome, ApiError> {
-        self.mine_scoped(&Scope::default_tenant(dataset), params, deadline, cancel)
-    }
-
-    /// [`MiscelaService::mine_cancellable`] in a tenant's namespace.
-    pub fn mine_cancellable_in(
-        &self,
-        tenant: &str,
-        dataset: &str,
-        params: &MiningParams,
-        deadline: Option<Instant>,
-        cancel: &CancelToken,
-    ) -> Result<MineOutcome, ApiError> {
-        self.mine_scoped(&Scope::new(tenant, dataset)?, params, deadline, cancel)
-    }
-
-    fn mine_scoped(
-        &self,
-        scope: &Scope,
-        params: &MiningParams,
-        deadline: Option<Instant>,
-        cancel: &CancelToken,
     ) -> Result<MineOutcome, ApiError> {
         let started = Instant::now();
+        let scope = &call.scope(dataset)?;
         params
             .validate()
             .map_err(|e| ApiError::BadRequest(e.to_string()))?;
-        let mut served = self.serve_grid(scope, &[params], deadline, cancel, "mine", started)?;
+        let mut served = self.serve_grid(scope, call, &[params], "mine", started)?;
         let mut result = served.results.pop().expect("one result per point");
         served.stats.copy_cache_counters(&mut result.report);
         Ok(MineOutcome {
@@ -2505,62 +2159,32 @@ impl MiscelaService {
     /// scheduled job ([`Miner::mine_sweep`]) instead of one request per
     /// point.
     ///
-    /// A solo [`MiscelaService::mine_cancellable`] is the one-point case of
-    /// the same serving path: a keyed retry replays the original response
-    /// body; duplicate grid points are deduplicated server-side; each
-    /// distinct point is probed against the revision-aware result cache;
-    /// and only the misses are mined — under a **single** admission permit
-    /// charged at the per-mine cost scaled by the number of points actually
-    /// mined (an all-hit sweep is admission-free). Freshly mined points are
-    /// written back to the result cache individually, so a later solo mine
-    /// of any grid point is a cache hit.
+    /// A solo [`MiscelaService::mine`] is the one-point case of the same
+    /// serving path: a keyed retry (the call's idempotency key) replays the
+    /// original response body; duplicate grid points are deduplicated
+    /// server-side; each distinct point is probed against the
+    /// revision-aware result cache; and only the misses are mined — under a
+    /// **single** admission permit charged at the per-mine cost scaled by
+    /// the number of points actually mined (an all-hit sweep is
+    /// admission-free). Freshly mined points are written back to the result
+    /// cache individually, so a later solo mine of any grid point is a
+    /// cache hit.
     ///
     /// The caller is responsible for serializing the fresh outcome and
-    /// handing the body to [`MiscelaService::remember_sweep_in`] so retries
+    /// handing the body to [`MiscelaService::remember_sweep`] so retries
     /// can replay it.
     pub fn mine_sweep(
         &self,
+        call: &Call,
         dataset: &str,
         points: &[MiningParams],
-        deadline: Option<Instant>,
-        cancel: &CancelToken,
-        key: Option<&str>,
-    ) -> Result<SweepServed, ApiError> {
-        self.mine_sweep_scoped(
-            &Scope::default_tenant(dataset),
-            points,
-            deadline,
-            cancel,
-            key,
-        )
-    }
-
-    /// [`MiscelaService::mine_sweep`] in a tenant's namespace.
-    pub fn mine_sweep_in(
-        &self,
-        tenant: &str,
-        dataset: &str,
-        points: &[MiningParams],
-        deadline: Option<Instant>,
-        cancel: &CancelToken,
-        key: Option<&str>,
-    ) -> Result<SweepServed, ApiError> {
-        self.mine_sweep_scoped(&Scope::new(tenant, dataset)?, points, deadline, cancel, key)
-    }
-
-    fn mine_sweep_scoped(
-        &self,
-        scope: &Scope,
-        points: &[MiningParams],
-        deadline: Option<Instant>,
-        cancel: &CancelToken,
-        key: Option<&str>,
     ) -> Result<SweepServed, ApiError> {
         let started = Instant::now();
-        if let Some(outcome) = self.replay_lookup(key, scope)? {
+        let scope = &call.scope(dataset)?;
+        if let Some(outcome) = self.replay_lookup(call.key(), scope)? {
             return match outcome {
                 ReplayOutcome::Sweep { body } => Ok(SweepServed::Replayed(body)),
-                _ => Err(Self::key_conflict(key.expect("replay hit requires a key"))),
+                _ => Err(Self::key_conflict(call.key().unwrap_or_default())),
             };
         }
         if points.is_empty() {
@@ -2586,7 +2210,7 @@ impl MiscelaService {
                 point_of.push(idx);
             }
         }
-        let mut served = self.serve_grid(scope, &unique, deadline, cancel, "sweep", started)?;
+        let mut served = self.serve_grid(scope, call, &unique, "sweep", started)?;
         // The miner only saw the cache-missing subset of the grid; report
         // the request's true shape (work counters stay as performed).
         served.stats.requested_points = points.len();
@@ -2612,12 +2236,12 @@ impl MiscelaService {
     fn serve_grid(
         &self,
         scope: &Scope,
+        call: &Call,
         unique: &[&MiningParams],
-        deadline: Option<Instant>,
-        cancel: &CancelToken,
         what: &str,
         started: Instant,
     ) -> Result<SweepOutcome, ApiError> {
+        let deadline = call.deadline();
         // One registry snapshot drives both the cache key and the content
         // that is mined: deriving the revision and the dataset Arc from the
         // same `DatasetEntry` means a concurrent append can never make this
@@ -2659,7 +2283,7 @@ impl MiscelaService {
             // without bound.
             let cost =
                 AdmissionController::mine_cost(&entry.dataset).saturating_mul(missing.len() as u64);
-            let _permit = self.admit_scoped(scope, cost, deadline)?;
+            let _permit = self.admit(scope, cost, deadline)?;
             // Identical requests may have filled entries while this one
             // waited for admission; serving them now keeps the work bounded.
             let still: Vec<usize> = missing
@@ -2677,8 +2301,8 @@ impl MiscelaService {
                 let grid: Vec<MiningParams> = still.iter().map(|&i| unique[i].clone()).collect();
                 let extraction = self.extraction_for(scope);
                 let token = match deadline {
-                    Some(d) => cancel.with_deadline(d),
-                    None => cancel.clone(),
+                    Some(d) => call.cancel().with_deadline(d),
+                    None => call.cancel().clone(),
                 };
                 let out = Miner::mine_sweep(&entry.dataset, &grid, Some(&*extraction), &token)
                     .map_err(|e| match e {
@@ -2713,14 +2337,14 @@ impl MiscelaService {
         })
     }
 
-    /// Caches the serialized response body of a keyed sweep in a tenant's
-    /// namespace so an identical retry replays it verbatim
+    /// Caches the serialized response body of a keyed sweep under the
+    /// call's idempotency key so an identical retry replays it verbatim
     /// ([`ReplayOutcome::Sweep`]; memory-only — excluded from snapshot
-    /// persistence). No-op without a key; an invalid tenant name is a
-    /// no-op too (the serving call already rejected it).
-    pub fn remember_sweep_in(&self, tenant: &str, dataset: &str, key: Option<&str>, body: String) {
-        if let Ok(scope) = Scope::new(tenant, dataset) {
-            self.remember(key, &scope, ReplayOutcome::Sweep { body });
+    /// persistence). No-op without a key; a dataset name the call rejects
+    /// is a no-op too (the serving call already rejected it).
+    pub fn remember_sweep(&self, call: &Call, dataset: &str, body: String) {
+        if let Ok(scope) = call.scope(dataset) {
+            self.remember(call.key(), &scope, ReplayOutcome::Sweep { body });
         }
     }
 
@@ -2730,34 +2354,19 @@ impl MiscelaService {
     /// current revision differs from `since_revision` (pass 0 — no real
     /// revision — to observe the current state), otherwise parks on the
     /// owning shard's condvar until an append, retention trim, delete or
-    /// re-registration bumps it, or `deadline` passes (`changed = false`).
+    /// re-registration bumps it, or the call's deadline passes
+    /// (`changed = false`; a call without a deadline parks at most 30 s).
     /// A delete wakes parked watchers with the typed `NotFound` close.
     pub fn watch(
         &self,
+        call: &Call,
         name: &str,
         since_revision: u64,
-        deadline: Instant,
     ) -> Result<WatchOutcome, ApiError> {
-        self.watch_scoped(&Scope::default_tenant(name), since_revision, deadline)
-    }
-
-    /// [`MiscelaService::watch`] in a tenant's namespace.
-    pub fn watch_in(
-        &self,
-        tenant: &str,
-        name: &str,
-        since_revision: u64,
-        deadline: Instant,
-    ) -> Result<WatchOutcome, ApiError> {
-        self.watch_scoped(&Scope::new(tenant, name)?, since_revision, deadline)
-    }
-
-    fn watch_scoped(
-        &self,
-        scope: &Scope,
-        since_revision: u64,
-        deadline: Instant,
-    ) -> Result<WatchOutcome, ApiError> {
+        let scope = &call.scope(name)?;
+        let deadline = call
+            .deadline()
+            .unwrap_or_else(|| Instant::now() + DEFAULT_WATCH_DEADLINE);
         let shard = self.store.shard(&scope.key);
         // Classic condvar discipline: hold `watch_seq` from predicate check
         // to park, so a bump (which takes `watch_seq` to increment it)
@@ -2806,13 +2415,136 @@ impl MiscelaService {
     }
 
     /// Dataset statistics for a registered dataset.
-    pub fn dataset_stats(&self, name: &str) -> Result<DatasetStats, ApiError> {
-        Ok(self.dataset(name)?.stats())
+    pub fn dataset_stats(&self, call: &Call, name: &str) -> Result<DatasetStats, ApiError> {
+        Ok(self.dataset(call, name)?.stats())
     }
 
-    /// [`MiscelaService::dataset_stats`] in a tenant's namespace.
-    pub fn dataset_stats_in(&self, tenant: &str, name: &str) -> Result<DatasetStats, ApiError> {
-        Ok(self.dataset_in(tenant, name)?.stats())
+    // ----- forms the benchmark calls --------------------------------------
+    //
+    // The benchmark package (`perfbench/`) calls these tenant-string forms
+    // by name. Each only builds a `Call` and forwards; they go when the
+    // benchmark is next revised.
+
+    /// [`MiscelaService::mine`] in `tenant`'s namespace.
+    pub fn mine_in(
+        &self,
+        tenant: &str,
+        dataset: &str,
+        params: &MiningParams,
+    ) -> Result<MineOutcome, ApiError> {
+        self.mine(&Call::tenant(tenant)?, dataset, params)
+    }
+
+    /// [`MiscelaService::mine`] in `tenant`'s namespace with a deadline and
+    /// cancel token.
+    pub fn mine_cancellable_in(
+        &self,
+        tenant: &str,
+        dataset: &str,
+        params: &MiningParams,
+        deadline: Option<Instant>,
+        cancel: &CancelToken,
+    ) -> Result<MineOutcome, ApiError> {
+        let call = Call::tenant(tenant)?
+            .with_deadline(deadline)
+            .with_cancel(cancel.clone());
+        self.mine(&call, dataset, params)
+    }
+
+    /// [`MiscelaService::mine_sweep`] in `tenant`'s namespace.
+    pub fn mine_sweep_in(
+        &self,
+        tenant: &str,
+        dataset: &str,
+        points: &[MiningParams],
+        deadline: Option<Instant>,
+        cancel: &CancelToken,
+        key: Option<&str>,
+    ) -> Result<SweepServed, ApiError> {
+        let call = Call::tenant(tenant)?
+            .with_key(key)
+            .with_deadline(deadline)
+            .with_cancel(cancel.clone());
+        self.mine_sweep(&call, dataset, points)
+    }
+
+    /// [`MiscelaService::remember_sweep`] in `tenant`'s namespace (a no-op
+    /// for an invalid tenant).
+    pub fn remember_sweep_in(&self, tenant: &str, dataset: &str, key: Option<&str>, body: String) {
+        if let Ok(call) = Call::tenant(tenant) {
+            self.remember_sweep(&call.with_key(key), dataset, body);
+        }
+    }
+
+    /// [`MiscelaService::begin_append`] in `tenant`'s namespace.
+    pub fn begin_append_keyed_in(
+        &self,
+        tenant: &str,
+        dataset: &str,
+        key: Option<&str>,
+    ) -> Result<BeginAppendOutcome, ApiError> {
+        self.begin_append(&Call::tenant(tenant)?.with_key(key), dataset)
+    }
+
+    /// A sequenced [`MiscelaService::append_chunk`] in `tenant`'s namespace.
+    pub fn append_chunk_seq_in(
+        &self,
+        tenant: &str,
+        dataset: &str,
+        session_id: u64,
+        seq: u64,
+        chunk: &Chunk,
+    ) -> Result<ChunkAck, ApiError> {
+        self.append_chunk(
+            &Call::tenant(tenant)?,
+            dataset,
+            Some((session_id, seq)),
+            chunk,
+        )
+    }
+
+    /// [`MiscelaService::finish_append`] in `tenant`'s namespace.
+    pub fn finish_append_keyed_in(
+        &self,
+        tenant: &str,
+        dataset: &str,
+        key: Option<&str>,
+    ) -> Result<(AppendSummary, Duration, bool), ApiError> {
+        self.finish_append(&Call::tenant(tenant)?.with_key(key), dataset)
+    }
+
+    /// [`MiscelaService::watch`] in `tenant`'s namespace.
+    pub fn watch_in(
+        &self,
+        tenant: &str,
+        name: &str,
+        since_revision: u64,
+        deadline: Instant,
+    ) -> Result<WatchOutcome, ApiError> {
+        self.watch(
+            &Call::tenant(tenant)?.with_deadline(Some(deadline)),
+            name,
+            since_revision,
+        )
+    }
+
+    /// [`MiscelaService::durability_stats`] in `tenant`'s namespace.
+    pub fn durability_stats_in(
+        &self,
+        tenant: &str,
+        name: &str,
+    ) -> Result<DurabilityStats, ApiError> {
+        self.durability_stats(&Call::tenant(tenant)?, name)
+    }
+
+    /// [`MiscelaService::dataset_revision`] in `tenant`'s namespace.
+    pub fn dataset_revision_in(&self, tenant: &str, name: &str) -> Result<u64, ApiError> {
+        self.dataset_revision(&Call::tenant(tenant)?, name)
+    }
+
+    /// [`MiscelaService::dataset`] in `tenant`'s namespace.
+    pub fn dataset_in(&self, tenant: &str, name: &str) -> Result<Arc<Dataset>, ApiError> {
+        self.dataset(&Call::tenant(tenant)?, name)
     }
 }
 
@@ -2864,18 +2596,18 @@ mod tests {
     #[test]
     fn register_list_delete() {
         let svc = MiscelaService::new();
-        assert!(svc.list_datasets().is_empty());
+        assert!(svc.list_datasets(&Call::default()).is_empty());
         let summary = svc.register_dataset(small_dataset());
         assert_eq!(summary.name, "santander");
         assert!(summary.sensors > 0);
-        let listed = svc.list_datasets();
+        let listed = svc.list_datasets(&Call::default());
         assert_eq!(listed.len(), 1);
         assert_eq!(listed[0], summary);
-        assert!(svc.dataset("santander").is_ok());
-        assert!(svc.dataset_stats("santander").is_ok());
-        svc.delete_dataset("santander").unwrap();
-        assert!(svc.dataset("santander").is_err());
-        assert!(svc.delete_dataset("santander").is_err());
+        assert!(svc.dataset(&Call::default(), "santander").is_ok());
+        assert!(svc.dataset_stats(&Call::default(), "santander").is_ok());
+        svc.delete_dataset(&Call::default(), "santander").unwrap();
+        assert!(svc.dataset(&Call::default(), "santander").is_err());
+        assert!(svc.delete_dataset(&Call::default(), "santander").is_err());
     }
 
     #[test]
@@ -2883,18 +2615,24 @@ mod tests {
         let svc = MiscelaService::new();
         svc.register_dataset(small_dataset());
         let params = quick_params();
-        let first = svc.mine("santander", &params).unwrap();
+        let first = svc.mine(&Call::default(), "santander", &params).unwrap();
         assert!(!first.cache_hit);
-        let second = svc.mine("santander", &params).unwrap();
+        let second = svc.mine(&Call::default(), "santander", &params).unwrap();
         assert!(second.cache_hit);
         assert_eq!(second.result.caps, first.result.caps);
         // A different parameter setting misses the cache.
-        let third = svc.mine("santander", &params.clone().with_psi(21)).unwrap();
+        let third = svc
+            .mine(&Call::default(), "santander", &params.clone().with_psi(21))
+            .unwrap();
         assert!(!third.cache_hit);
         // Unknown dataset and invalid parameters are rejected.
-        assert!(svc.mine("nope", &params).is_err());
+        assert!(svc.mine(&Call::default(), "nope", &params).is_err());
         assert!(svc
-            .mine("santander", &MiningParams::new().with_psi(0))
+            .mine(
+                &Call::default(),
+                "santander",
+                &MiningParams::new().with_psi(0)
+            )
             .is_err());
     }
 
@@ -2903,9 +2641,12 @@ mod tests {
         let svc = MiscelaService::new();
         svc.register_dataset(small_dataset());
         let params = quick_params();
-        let first = svc.mine("santander", &params).unwrap();
+        let first = svc.mine(&Call::default(), "santander", &params).unwrap();
         assert_eq!(first.result.report.extraction_cache_hits, 0);
-        let sensors = svc.dataset("santander").unwrap().sensor_count();
+        let sensors = svc
+            .dataset(&Call::default(), "santander")
+            .unwrap()
+            .sensor_count();
         let stats = svc.extraction_cache_stats();
         // Two entries per series: the content key, plus the salted
         // origin-anchored alias that lets trimmed descendants recover the
@@ -2916,18 +2657,24 @@ mod tests {
         );
         // A ψ tweak misses the result cache but hits the extraction cache
         // for every series — steps (1)+(2) are skipped entirely.
-        let tweaked = svc.mine("santander", &params.clone().with_psi(25)).unwrap();
+        let tweaked = svc
+            .mine(&Call::default(), "santander", &params.clone().with_psi(25))
+            .unwrap();
         assert!(!tweaked.cache_hit);
         assert_eq!(tweaked.result.report.extraction_cache_hits, sensors);
         // The cached front-end must not change the mined CAPs.
         let direct = Miner::new(params.clone().with_psi(25))
             .unwrap()
-            .mine(&svc.dataset("santander").unwrap())
+            .mine(&svc.dataset(&Call::default(), "santander").unwrap())
             .unwrap();
         assert_eq!(tweaked.result.caps, direct.caps);
         // An ε change re-extracts (different extraction key).
         let new_eps = svc
-            .mine("santander", &params.clone().with_epsilon(0.7))
+            .mine(
+                &Call::default(),
+                "santander",
+                &params.clone().with_epsilon(0.7),
+            )
             .unwrap();
         assert_eq!(new_eps.result.report.extraction_cache_hits, 0);
     }
@@ -2937,11 +2684,19 @@ mod tests {
         let svc = MiscelaService::new();
         svc.register_dataset(small_dataset());
         let params = quick_params();
-        let _ = svc.mine("santander", &params).unwrap();
-        assert!(svc.mine("santander", &params).unwrap().cache_hit);
+        let _ = svc.mine(&Call::default(), "santander", &params).unwrap();
+        assert!(
+            svc.mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .cache_hit
+        );
         // New upload under the same name: cached results must not survive.
         svc.register_dataset(small_dataset());
-        assert!(!svc.mine("santander", &params).unwrap().cache_hit);
+        assert!(
+            !svc.mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .cache_hit
+        );
     }
 
     #[test]
@@ -2953,17 +2708,19 @@ mod tests {
         let attributes = writer.attribute_csv(&generated);
 
         let svc = MiscelaService::new();
-        svc.begin_upload("uploaded", &locations, &attributes)
+        svc.begin_upload(&Call::default(), "uploaded", &locations, &attributes)
             .unwrap();
         let chunks = miscela_csv::split_into_chunks(&data, 1_000);
         assert!(chunks.len() > 1);
         for (i, chunk) in chunks.iter().enumerate() {
-            let missing = svc.upload_chunk("uploaded", chunk).unwrap();
+            let missing = svc
+                .upload_chunk(&Call::default(), "uploaded", chunk)
+                .unwrap();
             assert_eq!(missing, chunks.len() - i - 1);
         }
-        let (summary, _elapsed) = svc.finish_upload("uploaded").unwrap();
+        let (summary, _elapsed, _) = svc.finish_upload(&Call::default(), "uploaded").unwrap();
         assert_eq!(summary.sensors, generated.sensor_count());
-        let uploaded = svc.dataset("uploaded").unwrap();
+        let uploaded = svc.dataset(&Call::default(), "uploaded").unwrap();
         assert_eq!(uploaded.timestamp_count(), generated.timestamp_count());
         assert_eq!(uploaded.present_count(), generated.present_count());
     }
@@ -2975,25 +2732,32 @@ mod tests {
         let chunk = miscela_csv::split_into_chunks("id,attribute,time,data\n", 10)
             .into_iter()
             .next();
-        assert!(chunk.is_none() || svc.upload_chunk("ghost", &chunk.unwrap()).is_err());
+        assert!(
+            chunk.is_none()
+                || svc
+                    .upload_chunk(&Call::default(), "ghost", &chunk.unwrap())
+                    .is_err()
+        );
         // Malformed location.csv fails at begin_upload.
         assert!(svc
-            .begin_upload("bad", "not,a,valid", "temperature\n")
+            .begin_upload(&Call::default(), "bad", "not,a,valid", "temperature\n")
             .is_err());
         // Finishing an upload that never started.
-        assert!(svc.finish_upload("ghost").is_err());
+        assert!(svc.finish_upload(&Call::default(), "ghost").is_err());
         // Incomplete upload cannot be finished.
         let generated = small_dataset();
         let writer = DatasetWriter::new();
         svc.begin_upload(
+            &Call::default(),
             "partial",
             &writer.location_csv(&generated),
             &writer.attribute_csv(&generated),
         )
         .unwrap();
         let chunks = miscela_csv::split_into_chunks(&writer.data_csv(&generated), 2_000);
-        svc.upload_chunk("partial", &chunks[0]).unwrap();
-        assert!(svc.finish_upload("partial").is_err());
+        svc.upload_chunk(&Call::default(), "partial", &chunks[0])
+            .unwrap();
+        assert!(svc.finish_upload(&Call::default(), "partial").is_err());
     }
 
     #[test]
@@ -3011,6 +2775,7 @@ mod tests {
         // tail through the append-chunk protocol.
         let svc = MiscelaService::new();
         svc.upload_documents(
+            &Call::default(),
             "santander",
             &writer.data_csv(&prefix),
             &writer.location_csv(&prefix),
@@ -3018,40 +2783,55 @@ mod tests {
             5_000,
         )
         .unwrap();
-        assert_eq!(svc.dataset_revision("santander").unwrap(), 1);
+        assert_eq!(
+            svc.dataset_revision(&Call::default(), "santander").unwrap(),
+            1
+        );
         let params = quick_params();
-        let before = svc.mine("santander", &params).unwrap();
+        let before = svc.mine(&Call::default(), "santander", &params).unwrap();
         assert_eq!(before.revision, 1);
-        assert!(svc.mine("santander", &params).unwrap().cache_hit);
+        assert!(
+            svc.mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .cache_hit
+        );
 
-        svc.begin_append("santander").unwrap();
+        svc.begin_append(&Call::default(), "santander").unwrap();
         let chunks = miscela_csv::split_into_chunks(&writer.data_csv(&tail), 100);
         assert!(chunks.len() > 1);
         for (i, chunk) in chunks.iter().enumerate() {
-            let missing = svc.append_chunk("santander", chunk).unwrap();
-            assert_eq!(missing, chunks.len() - i - 1);
+            let ack = svc
+                .append_chunk(&Call::default(), "santander", None, chunk)
+                .unwrap();
+            assert_eq!(ack.missing, chunks.len() - i - 1);
         }
-        let (summary, _elapsed) = svc.finish_append("santander").unwrap();
+        let (summary, _elapsed, _) = svc.finish_append(&Call::default(), "santander").unwrap();
         assert_eq!(summary.new_timestamps, 24);
         assert_eq!(summary.timestamps, n);
         assert_eq!(summary.revision, 2);
-        assert_eq!(svc.dataset_revision("santander").unwrap(), 2);
+        assert_eq!(
+            svc.dataset_revision(&Call::default(), "santander").unwrap(),
+            2
+        );
 
         // The revision bump makes the pre-append cached result unreachable,
         // and the re-mine resumes extraction from cached prefix states.
-        let after = svc.mine("santander", &params).unwrap();
+        let after = svc.mine(&Call::default(), "santander", &params).unwrap();
         assert!(!after.cache_hit);
         assert_eq!(after.revision, 2);
         let report = &after.result.report;
         assert_eq!(
             report.extraction_cache_hits + report.extraction_prefix_hits,
-            svc.dataset("santander").unwrap().sensor_count()
+            svc.dataset(&Call::default(), "santander")
+                .unwrap()
+                .sensor_count()
         );
         assert!(report.extraction_prefix_hits > 0);
         assert!(svc.extraction_cache_stats().prefix_hits > 0);
         // Equivalence: identical CAPs to a cold mine of the full upload.
         let cold = MiscelaService::new();
         cold.upload_documents(
+            &Call::default(),
             "santander",
             &writer.data_csv(&full),
             &writer.location_csv(&full),
@@ -3061,34 +2841,54 @@ mod tests {
         .unwrap();
         assert_eq!(
             after.result.caps,
-            cold.mine("santander", &params).unwrap().result.caps
+            cold.mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .result
+                .caps
         );
         // The appended revision is itself cached now.
-        assert!(svc.mine("santander", &params).unwrap().cache_hit);
+        assert!(
+            svc.mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .cache_hit
+        );
     }
 
     #[test]
     fn append_error_paths() {
         let svc = MiscelaService::new();
         // Appending to an unregistered dataset fails at begin.
-        assert!(svc.begin_append("ghost").is_err());
+        assert!(svc.begin_append(&Call::default(), "ghost").is_err());
         svc.register_dataset(small_dataset());
         // Chunk/finish without a session in progress.
         let chunk = miscela_csv::split_into_chunks("id,attribute,time,data\n", 10).pop();
-        assert!(chunk.is_none() || svc.append_chunk("santander", &chunk.unwrap()).is_err());
-        assert!(svc.finish_append("santander").is_err());
+        assert!(
+            chunk.is_none()
+                || svc
+                    .append_chunk(&Call::default(), "santander", None, &chunk.unwrap())
+                    .is_err()
+        );
+        assert!(svc.finish_append(&Call::default(), "santander").is_err());
         // Rows inside the existing grid are rejected at finish and leave
         // the dataset untouched.
         let writer = DatasetWriter::new();
-        let ds = svc.dataset("santander").unwrap();
+        let ds = svc.dataset(&Call::default(), "santander").unwrap();
         let n = ds.timestamp_count();
         let stale_csv = writer.data_csv(&ds);
         drop(ds);
         assert!(svc
-            .append_documents("santander", &stale_csv, 10_000)
+            .append_documents(&Call::default(), "santander", &stale_csv, 10_000)
             .is_err());
-        assert_eq!(svc.dataset("santander").unwrap().timestamp_count(), n);
-        assert_eq!(svc.dataset_revision("santander").unwrap(), 1);
+        assert_eq!(
+            svc.dataset(&Call::default(), "santander")
+                .unwrap()
+                .timestamp_count(),
+            n
+        );
+        assert_eq!(
+            svc.dataset_revision(&Call::default(), "santander").unwrap(),
+            1
+        );
     }
 
     #[test]
@@ -3107,6 +2907,7 @@ mod tests {
 
         let svc = MiscelaService::new();
         svc.upload_documents(
+            &Call::default(),
             "santander",
             &writer.data_csv(&prefix),
             &writer.location_csv(&prefix),
@@ -3114,17 +2915,22 @@ mod tests {
             10_000,
         )
         .unwrap();
-        let before = svc.dataset("santander").unwrap();
+        let before = svc.dataset(&Call::default(), "santander").unwrap();
         assert!(
             before.iter().next().unwrap().series.block_count() > 0,
             "fixture must be long enough to have sealed blocks"
         );
         let summary = svc
-            .append_documents("santander", &writer.data_csv(&tail), 10_000)
+            .append_documents(
+                &Call::default(),
+                "santander",
+                &writer.data_csv(&tail),
+                10_000,
+            )
             .unwrap();
         assert_eq!(summary.new_timestamps, 8);
         assert_eq!(summary.trimmed_timestamps, 0);
-        let after = svc.dataset("santander").unwrap();
+        let after = svc.dataset(&Call::default(), "santander").unwrap();
         for idx in before.indices() {
             let old = before.series(idx);
             let new = after.series(idx);
@@ -3143,38 +2949,49 @@ mod tests {
         let svc = MiscelaService::new();
         svc.register_dataset(small_dataset());
         let params = quick_params();
-        let before = svc.mine("santander", &params).unwrap();
+        let before = svc.mine(&Call::default(), "santander", &params).unwrap();
         assert_eq!(before.revision, 1);
 
         // A policy that trims nothing yet does not bump the revision.
-        let n = svc.dataset("santander").unwrap().timestamp_count();
+        let n = svc
+            .dataset(&Call::default(), "santander")
+            .unwrap()
+            .timestamp_count();
         assert!(n > SERIES_BLOCK_LEN, "fixture must span multiple blocks");
-        let noop = svc
-            .set_retention("santander", RetentionPolicy::keep_last(n))
+        let (noop, _) = svc
+            .set_retention(&Call::default(), "santander", RetentionPolicy::keep_last(n))
             .unwrap();
         assert_eq!(noop.trimmed_timestamps, 0);
         assert_eq!(noop.revision, 1);
-        assert!(svc.mine("santander", &params).unwrap().cache_hit);
+        assert!(
+            svc.mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .cache_hit
+        );
 
         // A tight window trims whole blocks, bumps the revision, and makes
         // the pre-trim cached result unreachable.
-        let tight = svc
-            .set_retention("santander", RetentionPolicy::keep_last(16))
+        let (tight, _) = svc
+            .set_retention(
+                &Call::default(),
+                "santander",
+                RetentionPolicy::keep_last(16),
+            )
             .unwrap();
         assert_eq!(tight.trimmed_timestamps, SERIES_BLOCK_LEN);
         assert_eq!(tight.trimmed_total, SERIES_BLOCK_LEN);
         assert_eq!(tight.timestamps, n - SERIES_BLOCK_LEN);
         assert_eq!(tight.revision, 2);
         assert_eq!(
-            svc.retention("santander").unwrap(),
+            svc.retention(&Call::default(), "santander").unwrap(),
             RetentionPolicy::keep_last(16)
         );
-        let after = svc.mine("santander", &params).unwrap();
+        let after = svc.mine(&Call::default(), "santander", &params).unwrap();
         assert!(!after.cache_hit);
         assert_eq!(after.revision, 2);
         // Equivalence: the trimmed window mines identically to a cold
         // re-chunked copy of the same content.
-        let ds = svc.dataset("santander").unwrap();
+        let ds = svc.dataset(&Call::default(), "santander").unwrap();
         let twin = ds
             .slice_time(ds.grid().start(), ds.grid().range().end)
             .unwrap();
@@ -3209,6 +3026,7 @@ mod tests {
 
         let svc = MiscelaService::new();
         svc.upload_documents(
+            &Call::default(),
             "stream",
             &writer.data_csv(&initial),
             &writer.location_csv(&initial),
@@ -3216,10 +3034,14 @@ mod tests {
             10_000,
         )
         .unwrap();
-        svc.set_retention("stream", RetentionPolicy::keep_last(SERIES_BLOCK_LEN))
-            .unwrap();
+        svc.set_retention(
+            &Call::default(),
+            "stream",
+            RetentionPolicy::keep_last(SERIES_BLOCK_LEN),
+        )
+        .unwrap();
         let params = quick_params();
-        svc.mine("stream", &params).unwrap();
+        svc.mine(&Call::default(), "stream", &params).unwrap();
 
         let mut appended_through = window_end;
         let mut mirror_len = window_end;
@@ -3233,7 +3055,7 @@ mod tests {
                 .unwrap();
             appended_through += batch;
             let summary = svc
-                .append_documents("stream", &writer.data_csv(&tail), 10_000)
+                .append_documents(&Call::default(), "stream", &writer.data_csv(&tail), 10_000)
                 .unwrap();
             assert_eq!(summary.new_timestamps, batch);
             // Mirror the policy: trims are block-granular over the excess.
@@ -3244,9 +3066,9 @@ mod tests {
             mirror_len -= expect_trim;
             total_trimmed += expect_trim;
             assert_eq!(summary.timestamps, mirror_len);
-            let warm = svc.mine("stream", &params).unwrap();
+            let warm = svc.mine(&Call::default(), "stream", &params).unwrap();
             assert_eq!(warm.revision, summary.revision);
-            let ds = svc.dataset("stream").unwrap();
+            let ds = svc.dataset(&Call::default(), "stream").unwrap();
             let twin = ds
                 .slice_time(ds.grid().start(), ds.grid().range().end)
                 .unwrap();
@@ -3261,7 +3083,10 @@ mod tests {
         }
         // The stream actually slid (at least one block-granular trim ran).
         assert!(total_trimmed >= SERIES_BLOCK_LEN);
-        assert_eq!(svc.dataset("stream").unwrap().trimmed(), total_trimmed);
+        assert_eq!(
+            svc.dataset(&Call::default(), "stream").unwrap().trimmed(),
+            total_trimmed
+        );
         // Dead revisions were garbage-collected from the result cache: only
         // the live revision's entry remains stored.
         assert_eq!(svc.store.cache.stored_results(), 1);
@@ -3283,7 +3108,7 @@ mod tests {
         let quiet_sensors = quiet.sensor_count();
         svc.register_dataset(quiet); // quiet dataset "china6"
         let params = quick_params();
-        svc.mine("china6", &params).unwrap();
+        svc.mine(&Call::default(), "china6", &params).unwrap();
 
         // Churn the busy feed far past DEFAULT_KEEP_GENERATIONS.
         for _ in 0..(2 * miscela_cache::DEFAULT_KEEP_GENERATIONS + 2) {
@@ -3292,7 +3117,9 @@ mod tests {
 
         // A psi tweak forces the extraction path for the quiet dataset:
         // every one of its series must still hit its cached state.
-        let outcome = svc.mine("china6", &params.clone().with_psi(21)).unwrap();
+        let outcome = svc
+            .mine(&Call::default(), "china6", &params.clone().with_psi(21))
+            .unwrap();
         assert_eq!(
             outcome.result.report.extraction_cache_hits, quiet_sensors,
             "churn on the busy feed evicted the quiet dataset's states"
@@ -3308,18 +3135,21 @@ mod tests {
         // survive (retention never empties the grid) and keep mining.
         let svc = MiscelaService::new();
         svc.register_dataset(small_dataset());
-        let n = svc.dataset("santander").unwrap().timestamp_count();
-        let summary = svc
-            .set_retention("santander", RetentionPolicy::keep_last(1))
+        let n = svc
+            .dataset(&Call::default(), "santander")
+            .unwrap()
+            .timestamp_count();
+        let (summary, _) = svc
+            .set_retention(&Call::default(), "santander", RetentionPolicy::keep_last(1))
             .unwrap();
-        let ds = svc.dataset("santander").unwrap();
+        let ds = svc.dataset(&Call::default(), "santander").unwrap();
         assert_eq!(ds.iter().next().unwrap().series.block_count(), 0);
         assert_eq!(ds.timestamp_count(), n - summary.trimmed_timestamps);
         assert_eq!(ds.timestamp_count(), n % SERIES_BLOCK_LEN);
         assert!(ds.timestamp_count() > 0);
         // The tail-only window still mines (equivalently to its cold twin).
         let params = quick_params();
-        let warm = svc.mine("santander", &params).unwrap();
+        let warm = svc.mine(&Call::default(), "santander", &params).unwrap();
         let twin = ds
             .slice_time(ds.grid().start(), ds.grid().range().end)
             .unwrap();
@@ -3334,6 +3164,7 @@ mod tests {
         let svc = MiscelaService::new();
         let summary = svc
             .upload_documents(
+                &Call::default(),
                 "conv",
                 &writer.data_csv(&generated),
                 &writer.location_csv(&generated),
@@ -3342,7 +3173,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(summary.sensors, generated.sensor_count());
-        assert_eq!(svc.list_datasets().len(), 1);
+        assert_eq!(svc.list_datasets(&Call::default()).len(), 1);
     }
 
     #[test]
@@ -3351,16 +3182,20 @@ mod tests {
         // typed NotFound, never a panic — including after the session was
         // cleared out from under the client by a delete or re-register.
         let svc = MiscelaService::new();
-        let err = svc.finish_append("ghost").unwrap_err();
+        let err = svc.finish_append(&Call::default(), "ghost").unwrap_err();
         assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
         svc.register_dataset(small_dataset());
-        let err = svc.finish_append("santander").unwrap_err();
+        let err = svc
+            .finish_append(&Call::default(), "santander")
+            .unwrap_err();
         assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
         // delete_dataset clears the in-flight session.
-        svc.begin_append("santander").unwrap();
-        svc.delete_dataset("santander").unwrap();
+        svc.begin_append(&Call::default(), "santander").unwrap();
+        svc.delete_dataset(&Call::default(), "santander").unwrap();
         svc.register_dataset(small_dataset());
-        let err = svc.finish_append("santander").unwrap_err();
+        let err = svc
+            .finish_append(&Call::default(), "santander")
+            .unwrap_err();
         assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
     }
 
@@ -3387,6 +3222,7 @@ mod tests {
         {
             let svc = MiscelaService::with_durability(&dir).unwrap();
             svc.upload_documents(
+                &Call::default(),
                 "santander",
                 &writer.data_csv(&prefix),
                 &writer.location_csv(&prefix),
@@ -3394,22 +3230,36 @@ mod tests {
                 10_000,
             )
             .unwrap();
-            let summary = svc.append_documents("santander", &tail_csv, 100).unwrap();
+            let summary = svc
+                .append_documents(&Call::default(), "santander", &tail_csv, 100)
+                .unwrap();
             assert_eq!(summary.revision, 2);
-            before_caps = svc.mine("santander", &params).unwrap().result.caps;
+            before_caps = svc
+                .mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .result
+                .caps;
             // Drop without any shutdown hook: durability must not rely on one.
         }
         let svc = MiscelaService::with_durability(&dir).unwrap();
-        assert_eq!(svc.dataset_revision("santander").unwrap(), 2);
-        assert_eq!(svc.dataset("santander").unwrap().timestamp_count(), n);
+        assert_eq!(
+            svc.dataset_revision(&Call::default(), "santander").unwrap(),
+            2
+        );
+        assert_eq!(
+            svc.dataset(&Call::default(), "santander")
+                .unwrap()
+                .timestamp_count(),
+            n
+        );
         // The 12-point tail sealed no new block, so the session survived in
         // the WAL (not a snapshot) and was replayed record by record.
-        let stats = svc.durability_stats("santander").unwrap();
+        let stats = svc.durability_stats(&Call::default(), "santander").unwrap();
         assert!(stats.replayed_records >= 3, "{stats:?}");
         assert_eq!(stats.snapshot_generation, 1);
         assert_eq!(stats.torn_bytes, 0);
         // Byte-identical mining outcome on the recovered dataset.
-        let after = svc.mine("santander", &params).unwrap();
+        let after = svc.mine(&Call::default(), "santander", &params).unwrap();
         assert!(!after.cache_hit);
         assert_eq!(after.revision, 2);
         assert_eq!(after.result.caps, before_caps);
@@ -3434,6 +3284,7 @@ mod tests {
         {
             let svc = MiscelaService::with_durability(&dir).unwrap();
             svc.upload_documents(
+                &Call::default(),
                 "santander",
                 &writer.data_csv(&prefix),
                 &writer.location_csv(&prefix),
@@ -3441,24 +3292,29 @@ mod tests {
                 10_000,
             )
             .unwrap();
-            svc.begin_append("santander").unwrap();
+            svc.begin_append(&Call::default(), "santander").unwrap();
             let (first, rest) = chunks.split_at(chunks.len() / 2);
             for chunk in first {
-                svc.append_chunk("santander", chunk).unwrap();
+                svc.append_chunk(&Call::default(), "santander", None, chunk)
+                    .unwrap();
             }
             // A mid-session retention snapshot resets the WAL; the acked
             // chunks must be re-logged into it (relog_inflight) or the
             // session would be silently lost below.
-            svc.set_retention("santander", RetentionPolicy::keep_last(n))
+            svc.set_retention(&Call::default(), "santander", RetentionPolicy::keep_last(n))
                 .unwrap();
             for chunk in rest {
-                svc.append_chunk("santander", chunk).unwrap();
+                svc.append_chunk(&Call::default(), "santander", None, chunk)
+                    .unwrap();
             }
             // Crash before finish_append.
         }
         let svc = MiscelaService::with_durability(&dir).unwrap();
-        assert_eq!(svc.dataset_revision("santander").unwrap(), 1);
-        let (summary, _elapsed) = svc.finish_append("santander").unwrap();
+        assert_eq!(
+            svc.dataset_revision(&Call::default(), "santander").unwrap(),
+            1
+        );
+        let (summary, _elapsed, _) = svc.finish_append(&Call::default(), "santander").unwrap();
         assert_eq!(summary.new_timestamps, 12);
         assert_eq!(summary.timestamps, n);
         assert_eq!(summary.revision, 2);
@@ -3466,6 +3322,7 @@ mod tests {
         // uninterrupted twin driving the same appends.
         let twin = MiscelaService::new();
         twin.upload_documents(
+            &Call::default(),
             "santander",
             &writer.data_csv(&prefix),
             &writer.location_csv(&prefix),
@@ -3473,11 +3330,17 @@ mod tests {
             10_000,
         )
         .unwrap();
-        twin.append_documents("santander", &writer.data_csv(&tail), 50)
+        twin.append_documents(&Call::default(), "santander", &writer.data_csv(&tail), 50)
             .unwrap();
         assert_eq!(
-            svc.mine("santander", &params).unwrap().result.caps,
-            twin.mine("santander", &params).unwrap().result.caps
+            svc.mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .result
+                .caps,
+            twin.mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .result
+                .caps
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -3493,6 +3356,7 @@ mod tests {
 
         let svc = MiscelaService::new();
         svc.upload_documents(
+            &Call::default(),
             "santander",
             &writer.data_csv(&prefix),
             &writer.location_csv(&prefix),
@@ -3500,24 +3364,26 @@ mod tests {
             10_000,
         )
         .unwrap();
-        svc.begin_append("santander").unwrap();
+        svc.begin_append(&Call::default(), "santander").unwrap();
         let chunks = miscela_csv::split_into_chunks(&writer.data_csv(&tail), 50);
-        svc.append_chunk("santander", &chunks[0]).unwrap();
+        svc.append_chunk(&Call::default(), "santander", None, &chunks[0])
+            .unwrap();
         // A second begin must not silently replace the open session (which
         // would orphan its acknowledged chunks).
-        let err = svc.begin_append("santander").unwrap_err();
+        let err = svc.begin_append(&Call::default(), "santander").unwrap_err();
         assert!(matches!(err, ApiError::Conflict(_)), "{err:?}");
         assert!(!err.is_retryable());
         assert_eq!(err.status().as_u16(), 409);
         // The open session survived the rejected begin and finishes with
         // every chunk it acknowledged.
         for chunk in &chunks[1..] {
-            svc.append_chunk("santander", chunk).unwrap();
+            svc.append_chunk(&Call::default(), "santander", None, chunk)
+                .unwrap();
         }
-        let (summary, _elapsed) = svc.finish_append("santander").unwrap();
+        let (summary, _elapsed, _) = svc.finish_append(&Call::default(), "santander").unwrap();
         assert_eq!(summary.new_timestamps, 12);
         // After the finish, a new session opens cleanly.
-        svc.begin_append("santander").unwrap();
+        svc.begin_append(&Call::default(), "santander").unwrap();
     }
 
     #[test]
@@ -3529,16 +3395,24 @@ mod tests {
         // work happens (typed, retryable).
         let expired = Some(Instant::now());
         let err = svc
-            .mine_with_deadline("santander", &params, expired)
+            .mine(
+                &Call::default().with_deadline(expired),
+                "santander",
+                &params,
+            )
             .unwrap_err();
         assert!(matches!(err, ApiError::DeadlineExceeded(_)), "{err:?}");
         assert!(err.is_retryable());
         // Nothing was cached by the refused request.
-        let warm = svc.mine("santander", &params).unwrap();
+        let warm = svc.mine(&Call::default(), "santander", &params).unwrap();
         assert!(!warm.cache_hit);
         // A cache hit costs nothing, so it is served even past a deadline.
         let hit = svc
-            .mine_with_deadline("santander", &params, Some(Instant::now()))
+            .mine(
+                &Call::default().with_deadline(Some(Instant::now())),
+                "santander",
+                &params,
+            )
             .unwrap();
         assert!(hit.cache_hit);
         assert_eq!(hit.result.caps, warm.result.caps);
@@ -3549,26 +3423,36 @@ mod tests {
         let svc = MiscelaService::new();
         svc.register_dataset(small_dataset());
         let params = quick_params();
-        let revision = svc.dataset_revision("santander").unwrap();
+        let revision = svc.dataset_revision(&Call::default(), "santander").unwrap();
 
         let cancelled = CancelToken::never();
         cancelled.cancel();
         let err = svc
-            .mine_cancellable("santander", &params, None, &cancelled)
+            .mine(
+                &Call::default().with_cancel(cancelled.clone()),
+                "santander",
+                &params,
+            )
             .unwrap_err();
         assert!(matches!(err, ApiError::DeadlineExceeded(_)), "{err:?}");
 
         // The aborted mine wrote nothing: no revision moved, no result was
         // cached, and an identical retry produces the same CAPs as a cold
         // twin service that never saw a cancellation.
-        assert_eq!(svc.dataset_revision("santander").unwrap(), revision);
-        let retry = svc.mine("santander", &params).unwrap();
+        assert_eq!(
+            svc.dataset_revision(&Call::default(), "santander").unwrap(),
+            revision
+        );
+        let retry = svc.mine(&Call::default(), "santander", &params).unwrap();
         assert!(!retry.cache_hit);
         let twin = MiscelaService::new();
         twin.register_dataset(small_dataset());
         assert_eq!(
             retry.result.caps,
-            twin.mine("santander", &params).unwrap().result.caps
+            twin.mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .result
+                .caps
         );
     }
 
@@ -3586,6 +3470,7 @@ mod tests {
         let writer = DatasetWriter::new();
         let upload = |svc: &MiscelaService| {
             svc.upload_documents(
+                &Call::default(),
                 "santander",
                 &writer.data_csv(&prefix),
                 &writer.location_csv(&prefix),
@@ -3598,16 +3483,16 @@ mod tests {
         let dir = durable_dir("relazy");
         let svc = MiscelaService::with_durability(&dir).unwrap();
         upload(&svc);
-        svc.begin_append("santander").unwrap();
-        svc.delete_dataset("santander").unwrap();
+        svc.begin_append(&Call::default(), "santander").unwrap();
+        svc.delete_dataset(&Call::default(), "santander").unwrap();
         // The delete cleared the session and the durable state.
-        let err = svc.begin_append("santander").unwrap_err();
+        let err = svc.begin_append(&Call::default(), "santander").unwrap_err();
         assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
         // Re-registering re-creates durable state on demand; append flows
         // work again end to end.
         upload(&svc);
         let summary = svc
-            .append_documents("santander", &writer.data_csv(&tail), 100)
+            .append_documents(&Call::default(), "santander", &writer.data_csv(&tail), 100)
             .unwrap();
         assert_eq!(summary.revision, 2);
         assert_eq!(summary.new_timestamps, 12);
@@ -3634,6 +3519,7 @@ mod tests {
         let svc = MiscelaService::with_durability_opener(Arc::new(Database::new()), &dir, opener)
             .unwrap();
         svc.upload_documents(
+            &Call::default(),
             "santander",
             &writer.data_csv(&prefix),
             &writer.location_csv(&prefix),
@@ -3641,41 +3527,58 @@ mod tests {
             10_000,
         )
         .unwrap();
-        svc.begin_append("santander").unwrap();
-        svc.append_chunk("santander", &chunks[0]).unwrap();
+        svc.begin_append(&Call::default(), "santander").unwrap();
+        svc.append_chunk(&Call::default(), "santander", None, &chunks[0])
+            .unwrap();
 
         // The disk dies between two acknowledged writes.
         fail.exhaust();
-        let err = svc.append_chunk("santander", &chunks[1]).unwrap_err();
+        let err = svc
+            .append_chunk(&Call::default(), "santander", None, &chunks[1])
+            .unwrap_err();
         assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
         assert!(err.is_retryable());
         assert!(err.retry_after_ms().is_some());
-        assert!(svc.degraded_reason("santander").is_some());
+        assert!(svc.degraded_reason(&Call::default(), "santander").is_some());
 
         // Read-only degraded mode: mines and reads keep serving...
-        assert!(!svc.mine("santander", &params).unwrap().cache_hit);
-        assert!(svc.dataset_stats("santander").is_ok());
+        assert!(
+            !svc.mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .cache_hit
+        );
+        assert!(svc.dataset_stats(&Call::default(), "santander").is_ok());
         // ...while every durable write path answers typed and retryable.
-        let err = svc.append_chunk("santander", &chunks[1]).unwrap_err();
-        assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
         let err = svc
-            .set_retention("santander", miscela_model::RetentionPolicy::keep_last(n))
+            .append_chunk(&Call::default(), "santander", None, &chunks[1])
             .unwrap_err();
         assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
-        let err = svc.finish_append("santander").unwrap_err();
+        let err = svc
+            .set_retention(
+                &Call::default(),
+                "santander",
+                miscela_model::RetentionPolicy::keep_last(n),
+            )
+            .unwrap_err();
         assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
-        assert!(svc.degraded_reason("santander").is_some());
+        let err = svc
+            .finish_append(&Call::default(), "santander")
+            .unwrap_err();
+        assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
+        assert!(svc.degraded_reason(&Call::default(), "santander").is_some());
 
         // The disk recovers: the next write probes the path, re-arms
         // durability (re-snapshotting and re-logging the acked chunks) and
         // proceeds. No acknowledged row was lost.
         fail.heal();
-        svc.append_chunk("santander", &chunks[1]).unwrap();
-        assert!(svc.degraded_reason("santander").is_none());
+        svc.append_chunk(&Call::default(), "santander", None, &chunks[1])
+            .unwrap();
+        assert!(svc.degraded_reason(&Call::default(), "santander").is_none());
         for chunk in &chunks[2..] {
-            svc.append_chunk("santander", chunk).unwrap();
+            svc.append_chunk(&Call::default(), "santander", None, chunk)
+                .unwrap();
         }
-        let (summary, _elapsed) = svc.finish_append("santander").unwrap();
+        let (summary, _elapsed, _) = svc.finish_append(&Call::default(), "santander").unwrap();
         assert_eq!(summary.new_timestamps, 12);
         assert_eq!(summary.revision, 2);
         drop(svc);
@@ -3683,13 +3586,27 @@ mod tests {
         // A restart replays the episode's outcome: every acknowledged row
         // is present and the CAPs match an undisturbed twin byte for byte.
         let svc = MiscelaService::with_durability(&dir).unwrap();
-        assert_eq!(svc.dataset_revision("santander").unwrap(), 2);
-        assert_eq!(svc.dataset("santander").unwrap().timestamp_count(), n);
+        assert_eq!(
+            svc.dataset_revision(&Call::default(), "santander").unwrap(),
+            2
+        );
+        assert_eq!(
+            svc.dataset(&Call::default(), "santander")
+                .unwrap()
+                .timestamp_count(),
+            n
+        );
         let twin = MiscelaService::new();
         twin.register_dataset(small_dataset());
         assert_eq!(
-            svc.mine("santander", &params).unwrap().result.caps,
-            twin.mine("santander", &params).unwrap().result.caps
+            svc.mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .result
+                .caps,
+            twin.mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .result
+                .caps
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -3697,43 +3614,57 @@ mod tests {
     #[test]
     fn tenants_are_isolated() {
         let svc = MiscelaService::new();
-        svc.register_dataset_keyed_in("alice", small_dataset(), None)
+        svc.register(&Call::tenant("alice").unwrap(), small_dataset())
             .unwrap();
-        svc.register_dataset_keyed_in("bob", small_dataset(), None)
+        svc.register(&Call::tenant("bob").unwrap(), small_dataset())
             .unwrap();
         svc.register_dataset(small_dataset());
         // Each namespace lists only its own datasets.
-        assert_eq!(svc.list_datasets_in("alice").unwrap().len(), 1);
-        assert_eq!(svc.list_datasets_in("bob").unwrap().len(), 1);
-        assert_eq!(svc.list_datasets().len(), 1);
+        assert_eq!(svc.list_datasets(&Call::tenant("alice").unwrap()).len(), 1);
+        assert_eq!(svc.list_datasets(&Call::tenant("bob").unwrap()).len(), 1);
+        assert_eq!(svc.list_datasets(&Call::default()).len(), 1);
         // Deleting bob's copy touches neither alice's nor the default one.
-        svc.delete_dataset_keyed_in("bob", "santander", None)
+        svc.delete_dataset(&Call::tenant("bob").unwrap(), "santander")
             .unwrap();
-        assert!(svc.dataset_in("bob", "santander").is_err());
-        assert!(svc.dataset_in("alice", "santander").is_ok());
-        assert!(svc.dataset("santander").is_ok());
+        assert!(svc
+            .dataset(&Call::tenant("bob").unwrap(), "santander")
+            .is_err());
+        assert!(svc
+            .dataset(&Call::tenant("alice").unwrap(), "santander")
+            .is_ok());
+        assert!(svc.dataset(&Call::default(), "santander").is_ok());
         // The result cache is namespaced too: alice's warm entry does not
         // serve the identical default-tenant dataset.
         let params = quick_params();
         assert!(
-            !svc.mine_in("alice", "santander", &params)
+            !svc.mine(&Call::tenant("alice").unwrap(), "santander", &params)
                 .unwrap()
                 .cache_hit
         );
         assert!(
-            svc.mine_in("alice", "santander", &params)
+            svc.mine(&Call::tenant("alice").unwrap(), "santander", &params)
                 .unwrap()
                 .cache_hit
         );
-        assert!(!svc.mine("santander", &params).unwrap().cache_hit);
+        assert!(
+            !svc.mine(&Call::default(), "santander", &params)
+                .unwrap()
+                .cache_hit
+        );
         // Invalid tenant names and scoped dataset names are typed 400s.
         assert!(matches!(
-            svc.list_datasets_in("no/pe"),
+            Call::tenant("no/pe"),
             Err(ApiError::BadRequest(_))
         ));
         assert!(matches!(
-            svc.dataset_in("alice", "a/b"),
+            svc.dataset(&Call::tenant("alice").unwrap(), "a/b"),
             Err(ApiError::BadRequest(_))
+        ));
+        // The default tenant stays unchecked: the same name is merely
+        // unregistered there.
+        assert!(matches!(
+            svc.dataset(&Call::default(), "a/b"),
+            Err(ApiError::NotFound(_))
         ));
     }
 
@@ -3743,58 +3674,59 @@ mod tests {
         let writer = DatasetWriter::new();
         let svc = MiscelaService::new();
         svc.set_quota(
-            "capped",
+            &Call::tenant("capped").unwrap(),
             TenantQuota {
                 max_datasets: Some(1),
                 ..TenantQuota::default()
             },
-        )
-        .unwrap();
-        svc.register_dataset_keyed_in("capped", small_dataset(), None)
+        );
+        svc.register(&Call::tenant("capped").unwrap(), small_dataset())
             .unwrap();
         // Replacing the existing dataset is not a new dataset: allowed.
-        svc.register_dataset_keyed_in("capped", small_dataset(), None)
+        svc.register(&Call::tenant("capped").unwrap(), small_dataset())
             .unwrap();
         // A second distinct dataset trips the count quota on the upload
         // path (the quota check runs at finish, against assembled content).
-        svc.begin_upload_keyed_in(
-            "capped",
+        svc.begin_upload(
+            &Call::tenant("capped").unwrap(),
             "second",
             &writer.location_csv(&generated),
             &writer.attribute_csv(&generated),
-            None,
         )
         .unwrap();
         for chunk in miscela_csv::split_into_chunks(&writer.data_csv(&generated), 5_000) {
-            svc.upload_chunk_in("capped", "second", &chunk).unwrap();
+            svc.upload_chunk(&Call::tenant("capped").unwrap(), "second", &chunk)
+                .unwrap();
         }
         let err = svc
-            .finish_upload_keyed_in("capped", "second", None)
+            .finish_upload(&Call::tenant("capped").unwrap(), "second")
             .unwrap_err();
         assert!(matches!(err, ApiError::QuotaExceeded(_)), "{err:?}");
         assert_eq!(err.status(), crate::StatusCode::Forbidden);
         // A retained-timestamps budget smaller than the dataset rejects the
         // register outright.
         svc.set_quota(
-            "tiny",
+            &Call::tenant("tiny").unwrap(),
             TenantQuota {
                 max_retained_timestamps: Some(generated.timestamp_count() - 1),
                 ..TenantQuota::default()
             },
-        )
-        .unwrap();
+        );
         let err = svc
-            .register_dataset_keyed_in("tiny", small_dataset(), None)
+            .register(&Call::tenant("tiny").unwrap(), small_dataset())
             .unwrap_err();
         assert!(matches!(err, ApiError::QuotaExceeded(_)), "{err:?}");
         // Raising the budget unblocks the same register.
-        svc.set_quota("tiny", TenantQuota::default()).unwrap();
-        svc.register_dataset_keyed_in("tiny", small_dataset(), None)
+        svc.set_quota(&Call::tenant("tiny").unwrap(), TenantQuota::default());
+        svc.register(&Call::tenant("tiny").unwrap(), small_dataset())
             .unwrap();
         // The default tenant is unlimited unless configured, and quota
         // reads round-trip.
-        assert_eq!(svc.quota("capped").unwrap().max_datasets, Some(1));
-        assert_eq!(svc.quota(DEFAULT_TENANT).unwrap(), TenantQuota::default());
+        assert_eq!(
+            svc.quota(&Call::tenant("capped").unwrap()).max_datasets,
+            Some(1)
+        );
+        assert_eq!(svc.quota(&Call::default()), TenantQuota::default());
     }
 
     #[test]
@@ -3803,20 +3735,37 @@ mod tests {
         // The same idempotency key in two tenants names two independent
         // operations; each replays only within its own namespace.
         let (_, replayed) = svc
-            .register_dataset_keyed_in("a", small_dataset(), Some("k1"))
+            .register(
+                &Call::tenant("a").unwrap().with_key(Some("k1")),
+                small_dataset(),
+            )
             .unwrap();
         assert!(!replayed);
         let (_, replayed) = svc
-            .register_dataset_keyed_in("b", small_dataset(), Some("k1"))
+            .register(
+                &Call::tenant("b").unwrap().with_key(Some("k1")),
+                small_dataset(),
+            )
             .unwrap();
         assert!(!replayed, "tenant b must not see tenant a's replay entry");
         let (_, replayed) = svc
-            .register_dataset_keyed_in("a", small_dataset(), Some("k1"))
+            .register(
+                &Call::tenant("a").unwrap().with_key(Some("k1")),
+                small_dataset(),
+            )
             .unwrap();
         assert!(replayed);
         // Protocol stats slice per tenant: only tenant a recorded a replay.
-        assert_eq!(svc.protocol_stats_in("a").unwrap().key_replays, 1);
-        assert_eq!(svc.protocol_stats_in("b").unwrap().key_replays, 0);
+        assert_eq!(
+            svc.tenant_protocol_stats(&Call::tenant("a").unwrap())
+                .key_replays,
+            1
+        );
+        assert_eq!(
+            svc.tenant_protocol_stats(&Call::tenant("b").unwrap())
+                .key_replays,
+            0
+        );
         // The service-wide view still sums across tenants.
         assert_eq!(svc.protocol_stats().key_replays, 1);
     }
@@ -3833,6 +3782,7 @@ mod tests {
         let tail = full.slice_time(split_t, end).unwrap();
         let svc = MiscelaService::new();
         svc.upload_documents(
+            &Call::default(),
             "santander",
             &writer.data_csv(&prefix),
             &writer.location_csv(&prefix),
@@ -3841,14 +3791,24 @@ mod tests {
         )
         .unwrap();
         std::thread::scope(|s| {
-            let watcher =
-                s.spawn(|| svc.watch("santander", 1, Instant::now() + Duration::from_secs(10)));
+            let watcher = s.spawn(|| {
+                svc.watch(
+                    &Call::default().with_deadline(Some(Instant::now() + Duration::from_secs(10))),
+                    "santander",
+                    1,
+                )
+            });
             // Give the watcher a moment to park; even if it has not parked
             // yet, it observes the bumped revision on its first predicate
             // check, so this cannot flake either way.
             std::thread::sleep(Duration::from_millis(50));
             let summary = svc
-                .append_documents("santander", &writer.data_csv(&tail), 1_000)
+                .append_documents(
+                    &Call::default(),
+                    "santander",
+                    &writer.data_csv(&tail),
+                    1_000,
+                )
                 .unwrap();
             assert_eq!(summary.revision, 2);
             let out = watcher.join().unwrap().unwrap();
@@ -3864,26 +3824,46 @@ mod tests {
         svc.register_dataset(small_dataset());
         // since_revision 0 never matches a real revision: immediate reply
         // carrying the current state.
-        let out = svc.watch("santander", 0, Instant::now()).unwrap();
+        let out = svc
+            .watch(
+                &Call::default().with_deadline(Some(Instant::now())),
+                "santander",
+                0,
+            )
+            .unwrap();
         assert!(out.changed);
         assert_eq!(out.revision, 1);
         assert!(out.timestamps > 0);
         // An up-to-date watcher with an expired deadline reports unchanged.
-        let out = svc.watch("santander", 1, Instant::now()).unwrap();
+        let out = svc
+            .watch(
+                &Call::default().with_deadline(Some(Instant::now())),
+                "santander",
+                1,
+            )
+            .unwrap();
         assert!(!out.changed);
         assert!(out.deadline_expired);
         assert_eq!(out.revision, 1);
         // A short real deadline parks and then times out.
         let before = Instant::now();
         let out = svc
-            .watch("santander", 1, before + Duration::from_millis(40))
+            .watch(
+                &Call::default().with_deadline(Some(before + Duration::from_millis(40))),
+                "santander",
+                1,
+            )
             .unwrap();
         assert!(!out.changed);
         assert!(out.deadline_expired);
         assert!(before.elapsed() >= Duration::from_millis(40));
         // An unregistered dataset is the typed close.
         assert!(matches!(
-            svc.watch("ghost", 0, Instant::now()),
+            svc.watch(
+                &Call::default().with_deadline(Some(Instant::now())),
+                "ghost",
+                0
+            ),
             Err(ApiError::NotFound(_))
         ));
     }
@@ -3893,10 +3873,15 @@ mod tests {
         let svc = MiscelaService::new();
         svc.register_dataset(small_dataset());
         std::thread::scope(|s| {
-            let watcher =
-                s.spawn(|| svc.watch("santander", 1, Instant::now() + Duration::from_secs(10)));
+            let watcher = s.spawn(|| {
+                svc.watch(
+                    &Call::default().with_deadline(Some(Instant::now() + Duration::from_secs(10))),
+                    "santander",
+                    1,
+                )
+            });
             std::thread::sleep(Duration::from_millis(50));
-            svc.delete_dataset("santander").unwrap();
+            svc.delete_dataset(&Call::default(), "santander").unwrap();
             let err = watcher.join().unwrap().unwrap_err();
             assert!(matches!(err, ApiError::NotFound(_)), "{err:?}");
         });
@@ -3912,26 +3897,241 @@ mod tests {
         let attributes = writer.attribute_csv(&generated);
         {
             let svc = MiscelaService::with_durability(&dir).unwrap();
-            svc.upload_documents_in("alice", "santander", &data, &locations, &attributes, 5_000)
-                .unwrap();
-            svc.upload_documents("santander", &data, &locations, &attributes, 5_000)
-                .unwrap();
+            svc.upload_documents(
+                &Call::tenant("alice").unwrap(),
+                "santander",
+                &data,
+                &locations,
+                &attributes,
+                5_000,
+            )
+            .unwrap();
+            svc.upload_documents(
+                &Call::default(),
+                "santander",
+                &data,
+                &locations,
+                &attributes,
+                5_000,
+            )
+            .unwrap();
         }
         // A fresh service over the same directory restores both namespaces
         // — alice's replica under tenants/alice, the default at the root —
         // without cross-listing.
         let svc = MiscelaService::with_durability(&dir).unwrap();
-        assert_eq!(svc.list_datasets_in("alice").unwrap().len(), 1);
-        assert_eq!(svc.list_datasets().len(), 1);
-        assert_eq!(svc.dataset_revision_in("alice", "santander").unwrap(), 1);
+        assert_eq!(svc.list_datasets(&Call::tenant("alice").unwrap()).len(), 1);
+        assert_eq!(svc.list_datasets(&Call::default()).len(), 1);
         assert_eq!(
-            svc.dataset_in("alice", "santander").unwrap().record_count(),
+            svc.dataset_revision(&Call::tenant("alice").unwrap(), "santander")
+                .unwrap(),
+            1
+        );
+        assert_eq!(
+            svc.dataset(&Call::tenant("alice").unwrap(), "santander")
+                .unwrap()
+                .record_count(),
             generated.record_count()
         );
         assert_eq!(
-            svc.dataset("santander").unwrap().record_count(),
+            svc.dataset(&Call::default(), "santander")
+                .unwrap()
+                .record_count(),
             generated.record_count()
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn durable_names_outside_the_safe_set_survive_a_restart() {
+        let full = small_dataset();
+        let split_t = full.grid().at(full.timestamp_count() - 12).unwrap();
+        let prefix = full.slice_time(full.grid().start(), split_t).unwrap();
+        let writer = DatasetWriter::new();
+        let upload = |svc: &MiscelaService, name: &str, ds: &Dataset| {
+            svc.upload_documents(
+                &Call::default(),
+                name,
+                &writer.data_csv(ds),
+                &writer.location_csv(ds),
+                &writer.attribute_csv(ds),
+                10_000,
+            )
+            .unwrap();
+        };
+        let dir = durable_dir("names");
+        {
+            let svc = MiscelaService::with_durability(&dir).unwrap();
+            // `a.b` and `a_b` once mapped to one directory; `city.data`
+            // came back as `city_data`.
+            upload(&svc, "city.data", &full);
+            upload(&svc, "a.b", &full);
+            upload(&svc, "a_b", &prefix);
+        }
+        let svc = MiscelaService::with_durability(&dir).unwrap();
+        let timestamps = |name: &str| {
+            svc.dataset(&Call::default(), name)
+                .map(|ds| ds.timestamp_count())
+        };
+        assert_eq!(timestamps("city.data").unwrap(), full.timestamp_count());
+        assert_eq!(timestamps("a.b").unwrap(), full.timestamp_count());
+        assert_eq!(timestamps("a_b").unwrap(), prefix.timestamp_count());
+        assert!(matches!(
+            timestamps("city_data"),
+            Err(ApiError::NotFound(_))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn legacy_directories_move_to_their_snapshot_name_on_restart() {
+        let full = small_dataset();
+        let split_t = full.grid().at(full.timestamp_count() - 12).unwrap();
+        let prefix = full.slice_time(full.grid().start(), split_t).unwrap();
+        let writer = DatasetWriter::new();
+        let call = Call::default();
+        let upload = |svc: &MiscelaService, ds: &Dataset| {
+            svc.upload_documents(
+                &call,
+                "city.data",
+                &writer.data_csv(ds),
+                &writer.location_csv(ds),
+                &writer.attribute_csv(ds),
+                10_000,
+            )
+            .unwrap();
+        };
+        let timestamps = |svc: &MiscelaService| {
+            svc.dataset(&call, "city.data")
+                .map(|ds| ds.timestamp_count())
+        };
+        let dir = durable_dir("legacy");
+        let (encoded, legacy) = (dir.join("city%2edata"), dir.join("city_data"));
+        // Lays `city.data` out as older releases did, in `city_data`.
+        let write_legacy = |ds: &Dataset| {
+            upload(&MiscelaService::with_durability(&dir).unwrap(), ds);
+            std::fs::rename(&encoded, &legacy).unwrap();
+        };
+
+        // A recovered legacy dataset moves to its own directory, so a
+        // delete removes it for good.
+        write_legacy(&full);
+        let svc = MiscelaService::with_durability(&dir).unwrap();
+        assert_eq!(timestamps(&svc).unwrap(), full.timestamp_count());
+        assert!(encoded.exists() && !legacy.exists());
+        svc.delete_dataset(&call, "city.data").unwrap();
+        drop(svc);
+        let svc = MiscelaService::with_durability(&dir).unwrap();
+        assert!(matches!(timestamps(&svc), Err(ApiError::NotFound(_))));
+        assert!(!encoded.exists() && !legacy.exists());
+        drop(svc);
+
+        // Deleted, registered again and restarted: the new content stays.
+        write_legacy(&full);
+        let svc = MiscelaService::with_durability(&dir).unwrap();
+        svc.delete_dataset(&call, "city.data").unwrap();
+        upload(&svc, &prefix);
+        drop(svc);
+        let svc = MiscelaService::with_durability(&dir).unwrap();
+        assert_eq!(timestamps(&svc).unwrap(), prefix.timestamp_count());
+        drop(svc);
+
+        // A stale legacy directory next to its name's own directory is
+        // dropped, not recovered over the newer data.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let aside = dir.with_extension("aside");
+        write_legacy(&full);
+        std::fs::rename(&legacy, &aside).unwrap();
+        upload(&MiscelaService::with_durability(&dir).unwrap(), &prefix);
+        std::fs::rename(&aside, &legacy).unwrap();
+        assert!(encoded.exists() && legacy.exists());
+        let svc = MiscelaService::with_durability(&dir).unwrap();
+        assert_eq!(timestamps(&svc).unwrap(), prefix.timestamp_count());
+        assert!(!legacy.exists());
+        drop(svc);
+        let svc = MiscelaService::with_durability(&dir).unwrap();
+        assert_eq!(timestamps(&svc).unwrap(), prefix.timestamp_count());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn keyed_retries_replay_on_every_mutating_operation() {
+        let full = small_dataset();
+        let split_t = full.grid().at(full.timestamp_count() - 12).unwrap();
+        let prefix = full.slice_time(full.grid().start(), split_t).unwrap();
+        let tail = full.slice_time(split_t, full.grid().range().end).unwrap();
+        let writer = DatasetWriter::new();
+        let svc = MiscelaService::new();
+        let acme = Call::tenant("acme").unwrap();
+        let keyed = |key: &str| acme.clone().with_key(Some(key));
+
+        let (location, attribute) = (writer.location_csv(&full), writer.attribute_csv(&full));
+        assert!(!svc
+            .begin_upload(&keyed("ub"), "up", &location, &attribute)
+            .unwrap());
+        assert!(svc
+            .begin_upload(&keyed("ub"), "up", &location, &attribute)
+            .unwrap());
+        for chunk in miscela_csv::split_into_chunks(&writer.data_csv(&full), 5_000) {
+            svc.upload_chunk(&acme, "up", &chunk).unwrap();
+        }
+        let (first, _, replayed) = svc.finish_upload(&keyed("uf"), "up").unwrap();
+        assert!(!replayed);
+        let (again, _, replayed) = svc.finish_upload(&keyed("uf"), "up").unwrap();
+        assert!(replayed);
+        assert_eq!(again, first);
+
+        let (first, replayed) = svc.register(&keyed("rg"), prefix.clone()).unwrap();
+        assert!(!replayed);
+        let (again, replayed) = svc.register(&keyed("rg"), prefix).unwrap();
+        assert!(replayed);
+        assert_eq!(again, first);
+        let name = first.name;
+        assert_eq!(svc.dataset_revision(&acme, &name).unwrap(), 1);
+
+        let begun = svc.begin_append(&keyed("ab"), &name).unwrap();
+        assert!(!begun.replayed);
+        let again = svc.begin_append(&keyed("ab"), &name).unwrap();
+        assert!(again.replayed);
+        assert_eq!(again.session, begun.session);
+        for chunk in miscela_csv::split_into_chunks(&writer.data_csv(&tail), 1_000) {
+            svc.append_chunk(&acme, &name, None, &chunk).unwrap();
+        }
+        let (first, _, replayed) = svc.finish_append(&keyed("af"), &name).unwrap();
+        assert!(!replayed);
+        let (again, _, replayed) = svc.finish_append(&keyed("af"), &name).unwrap();
+        assert!(replayed);
+        assert_eq!(again, first);
+
+        let policy = RetentionPolicy::keep_last(full.timestamp_count() - 1);
+        let (first, replayed) = svc.set_retention(&keyed("rt"), &name, policy).unwrap();
+        assert!(!replayed);
+        let (again, replayed) = svc.set_retention(&keyed("rt"), &name, policy).unwrap();
+        assert!(replayed);
+        assert_eq!(again, first);
+
+        let points = [quick_params()];
+        assert!(matches!(
+            svc.mine_sweep(&keyed("sw"), &name, &points).unwrap(),
+            SweepServed::Fresh(_)
+        ));
+        svc.remember_sweep(&keyed("sw"), &name, "{}".to_string());
+        assert!(matches!(
+            svc.mine_sweep(&keyed("sw"), &name, &points).unwrap(),
+            SweepServed::Replayed(body) if body == "{}"
+        ));
+
+        // A solo mine mutates nothing, so it ignores the key entirely.
+        let cached = svc.tenant_protocol_stats(&acme).cached_keys;
+        svc.mine(&keyed("mn"), &name, &quick_params()).unwrap();
+        assert!(
+            svc.mine(&keyed("mn"), &name, &quick_params())
+                .unwrap()
+                .cache_hit
+        );
+        assert_eq!(svc.tenant_protocol_stats(&acme).cached_keys, cached);
+
+        assert!(!svc.delete_dataset(&keyed("dl"), &name).unwrap());
+        assert!(svc.delete_dataset(&keyed("dl"), &name).unwrap());
     }
 }

@@ -9,7 +9,7 @@
 //! hashed into a fixed set of `Shard`s, each with its own locks. Requests
 //! touching different datasets land on different shards with high
 //! probability and never contend; [`crate::MiscelaService`] itself is a
-//! stateless facade holding only an `Arc<ShardedStore>`.
+//! facade holding only its `ShardedStore`.
 //!
 //! Per-shard lock order (a request never takes locks from two shards):
 //!
@@ -48,7 +48,7 @@ use std::sync::Arc;
 
 use crate::admission::AdmissionController;
 use crate::message::ApiError;
-use crate::service::{AppendSession, ReplayOutcome, UploadSession};
+use crate::service::{AppendSession, ProtocolStats, ReplayOutcome, UploadSession};
 
 /// The tenant every pre-tenancy route, client, and test lives in. Its
 /// datasets keep bare names as store keys, bare URLs, and the root
@@ -141,6 +141,19 @@ pub(crate) struct ProtocolState {
     pub(crate) chunk_duplicates: u64,
     pub(crate) sequence_gaps: u64,
     pub(crate) stale_sessions: u64,
+}
+
+impl ProtocolState {
+    /// The tenant's protocol counters.
+    pub(crate) fn stats(&self) -> ProtocolStats {
+        ProtocolStats {
+            cached_keys: self.entries.len(),
+            key_replays: self.key_replays,
+            chunk_duplicates: self.chunk_duplicates,
+            sequence_gaps: self.sequence_gaps,
+            stale_sessions: self.stale_sessions,
+        }
+    }
 }
 
 /// Resource limits for one tenant. `None` means unlimited (the default, so

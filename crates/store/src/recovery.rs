@@ -73,7 +73,8 @@ impl RecoveryStore {
         }
     }
 
-    /// Names of datasets with a durability log on disk, sorted.
+    /// Names of datasets with a durability log on disk (decoded from their
+    /// directory names), sorted.
     pub fn dataset_names(&self) -> Result<Vec<String>, StoreError> {
         if !self.root.exists() {
             return Ok(Vec::new());
@@ -84,10 +85,9 @@ impl RecoveryStore {
             if !entry.file_type()?.is_dir() {
                 continue;
             }
-            let dir = entry.path();
-            if dir.join(SNAPSHOT_FILE).exists() || dir.join(WAL_FILE).exists() {
-                if let Some(name) = entry.file_name().to_str() {
-                    names.push(name.to_string());
+            if has_log(&entry.path()) {
+                if let Some(name) = entry.file_name().to_str().and_then(decode_component) {
+                    names.push(name);
                 }
             }
         }
@@ -99,7 +99,7 @@ impl RecoveryStore {
     /// replay tail, and a torn final record (crash mid-append) is truncated
     /// away so subsequent appends keep the log cleanly framed.
     pub fn dataset(&self, name: &str) -> Result<DatasetLog, StoreError> {
-        let dir = self.root.join(safe_component(name));
+        let dir = self.root.join(encode_component(name));
         fs::create_dir_all(&dir)?;
         let wal_path = dir.join(WAL_FILE);
         let scanned = scan(&wal_path)?;
@@ -126,9 +126,24 @@ impl RecoveryStore {
         })
     }
 
+    /// Moves the log of `from` to the directory of `to` — the step that
+    /// carries a log found under another name's directory to its own.
+    /// Returns `false`, moving nothing, when `to` already has a log.
+    pub fn rename_dataset(&self, from: &str, to: &str) -> Result<bool, StoreError> {
+        let target = self.root.join(encode_component(to));
+        if has_log(&target) {
+            return Ok(false);
+        }
+        if target.exists() {
+            fs::remove_dir_all(&target)?;
+        }
+        fs::rename(self.root.join(encode_component(from)), &target)?;
+        Ok(true)
+    }
+
     /// Deletes the durability log for `name`, if present.
     pub fn remove_dataset(&self, name: &str) -> Result<(), StoreError> {
-        let dir = self.root.join(safe_component(name));
+        let dir = self.root.join(encode_component(name));
         if dir.exists() {
             fs::remove_dir_all(&dir)?;
         }
@@ -280,24 +295,69 @@ fn load_snapshot_at(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
     }))
 }
 
-/// Sanitizes a dataset name into a directory component (same mapping as the
-/// persistence layer uses for collection files).
-fn safe_component(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
+/// Whether `dir` holds a snapshot or a WAL.
+fn has_log(dir: &Path) -> bool {
+    dir.join(SNAPSHOT_FILE).exists() || dir.join(WAL_FILE).exists()
+}
+
+/// Encodes a dataset name as a directory component, injectively: ASCII
+/// letters, digits, `_` and `-` stay as they are (so directories of such
+/// names keep their pre-encoding paths), and every other byte becomes
+/// `%` plus two lowercase hex digits. Distinct names always get distinct
+/// directories, and [`decode_component`] recovers the name.
+fn encode_component(name: &str) -> String {
+    let mut out = String::with_capacity(name.len());
+    for byte in name.bytes() {
+        if byte.is_ascii_alphanumeric() || byte == b'_' || byte == b'-' {
+            out.push(byte as char);
+        } else {
+            out.push_str(&format!("%{byte:02x}"));
+        }
+    }
+    out
+}
+
+/// Inverts [`encode_component`]; `None` for a directory name it cannot
+/// have produced.
+fn decode_component(component: &str) -> Option<String> {
+    let mut bytes = Vec::with_capacity(component.len());
+    let mut rest = component.as_bytes();
+    while let Some((&byte, tail)) = rest.split_first() {
+        if byte == b'%' {
+            let hex = std::str::from_utf8(tail.get(..2)?).ok()?;
+            bytes.push(u8::from_str_radix(hex, 16).ok()?);
+            rest = &tail[2..];
+        } else {
+            bytes.push(byte);
+            rest = tail;
+        }
+    }
+    let name = String::from_utf8(bytes).ok()?;
+    (encode_component(&name) == component).then_some(name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wal::{FailPoint, FailingOpener};
+
+    #[test]
+    fn directory_encoding_is_injective_and_keeps_safe_names() {
+        for safe in ["santander", "china_6-cities", "A1"] {
+            assert_eq!(encode_component(safe), safe);
+        }
+        let names = ["a.b", "a_b", "a%2eb", "city.data", "x/y", "..", "ü"];
+        let encoded: Vec<String> = names.iter().map(|n| encode_component(n)).collect();
+        for (i, e) in encoded.iter().enumerate() {
+            assert!(e
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || b"_-%".contains(&b)));
+            assert_eq!(decode_component(e).as_deref(), Some(names[i]));
+            assert!(!encoded[..i].contains(e), "{} collides", names[i]);
+        }
+        assert_eq!(decode_component("not.encoded"), None);
+        assert_eq!(decode_component("a%2"), None);
+    }
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -332,6 +392,23 @@ mod tests {
         assert_eq!(replay[2], record(2));
         assert!(log.torn_tail().is_none());
         assert_eq!(store.dataset_names().unwrap(), vec!["santander"]);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn rename_dataset_moves_a_log_unless_the_target_has_one() {
+        let root = temp_root("rename");
+        let store = RecoveryStore::open(&root);
+        for name in ["a_b", "c_d", "c.d"] {
+            let mut log = store.dataset(name).unwrap();
+            log.log(&record(name.len() as i64)).unwrap();
+            log.commit().unwrap();
+        }
+        assert!(store.rename_dataset("a_b", "a.b").unwrap());
+        assert_eq!(store.dataset_names().unwrap(), vec!["a.b", "c.d", "c_d"]);
+        assert_eq!(store.dataset("a.b").unwrap().take_replay(), vec![record(3)]);
+        assert!(!store.rename_dataset("c_d", "c.d").unwrap());
+        assert_eq!(store.dataset_names().unwrap(), vec!["a.b", "c.d", "c_d"]);
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -5,6 +5,7 @@
 
 use miscela_v::miscela_core::MiningParams;
 use miscela_v::miscela_datagen::SantanderGenerator;
+use miscela_v::miscela_server::Call;
 use miscela_v::miscela_viz::ascii::sparkline;
 use miscela_v::MiscelaV;
 
@@ -44,7 +45,10 @@ fn main() {
 
     // 4. Look at the strongest CAP: which sensors, which attributes, and how
     //    their measurements move together.
-    let ds = system.service().dataset("santander").unwrap();
+    let ds = system
+        .service()
+        .dataset(&Call::default(), "santander")
+        .unwrap();
     if let Some(cap) = outcome.result.caps.caps().first() {
         println!("\nstrongest CAP: {cap}");
         for &sensor in &cap.sensors() {

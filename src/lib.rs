@@ -55,7 +55,7 @@ pub mod analysis;
 
 use miscela_core::{CapSet, MiningParams};
 use miscela_model::{Dataset, SensorIndex};
-use miscela_server::{ApiError, DatasetSummary, MineOutcome, MiscelaService, Router};
+use miscela_server::{ApiError, Call, DatasetSummary, MineOutcome, MiscelaService, Router};
 use miscela_viz::{Dashboard, SvgDocument};
 use std::sync::Arc;
 
@@ -99,6 +99,7 @@ impl MiscelaV {
         attribute_csv: &str,
     ) -> Result<DatasetSummary, ApiError> {
         self.service.upload_documents(
+            &Call::default(),
             name,
             data_csv,
             location_csv,
@@ -109,13 +110,13 @@ impl MiscelaV {
 
     /// Mines a registered dataset (cache-aware).
     pub fn mine(&self, dataset: &str, params: &MiningParams) -> Result<MineOutcome, ApiError> {
-        self.service.mine(dataset, params)
+        self.service.mine(&Call::default(), dataset, params)
     }
 
     /// Renders the Figure-3 dashboard for the highest-support CAP of a
     /// mining result.
     pub fn dashboard(&self, dataset: &str, caps: &CapSet) -> Result<Option<SvgDocument>, ApiError> {
-        let ds = self.service.dataset(dataset)?;
+        let ds = self.service.dataset(&Call::default(), dataset)?;
         Ok(Dashboard::new(&ds, caps).render_top())
     }
 
@@ -129,7 +130,7 @@ impl MiscelaV {
     ) -> Result<Vec<SensorIndex>, ApiError> {
         // Validate the dataset exists (and the index is plausible) so the
         // call mirrors the API's behaviour.
-        let ds = self.service.dataset(dataset)?;
+        let ds = self.service.dataset(&Call::default(), dataset)?;
         if sensor.index() >= ds.sensor_count() {
             return Err(ApiError::BadRequest(format!(
                 "sensor index {} out of range ({} sensors)",

@@ -7,7 +7,7 @@ use miscela_v::miscela_core::{CapSet, Miner, MiningParams, ProximityGraph};
 use miscela_v::miscela_csv::{split_into_chunks, DatasetWriter};
 use miscela_v::miscela_datagen::{CovidGenerator, PlantedGenerator, SantanderGenerator};
 use miscela_v::miscela_model::AttributeId;
-use miscela_v::miscela_server::{ApiRequest, MiscelaService, Router};
+use miscela_v::miscela_server::{ApiRequest, Call, MiscelaService, Router};
 use miscela_v::miscela_store::{persist, Json};
 use miscela_v::miscela_viz::{Dashboard, MapConfig, MapView};
 use miscela_v::MiscelaV;
@@ -49,7 +49,10 @@ fn csv_export_upload_mine_visualize_round_trip() {
     assert_eq!(direct.result.caps.len(), outcome.result.caps.len());
 
     // Visualization layers accept the result.
-    let ds = system.service().dataset("uploaded").unwrap();
+    let ds = system
+        .service()
+        .dataset(&Call::default(), "uploaded")
+        .unwrap();
     let dash = Dashboard::new(&ds, &outcome.result.caps);
     let svg = dash.render_top().expect("at least one CAP").render();
     assert!(svg.contains("<svg"));
@@ -126,7 +129,10 @@ fn planted_patterns_survive_the_whole_pipeline() {
         .with_mu(3)
         .with_segmentation(false);
     let outcome = system.mine("planted", &params).unwrap();
-    let uploaded = system.service().dataset("planted").unwrap();
+    let uploaded = system
+        .service()
+        .dataset(&Call::default(), "planted")
+        .unwrap();
     for planted in &truth {
         let expected: std::collections::BTreeSet<&str> =
             planted.sensor_ids.iter().map(|s| s.as_str()).collect();
@@ -160,7 +166,9 @@ fn cache_survives_store_persistence() {
     {
         let service = Arc::new(MiscelaService::new());
         service.register_dataset(ds);
-        let outcome = service.mine("santander", &params).unwrap();
+        let outcome = service
+            .mine(&Call::default(), "santander", &params)
+            .unwrap();
         assert!(!outcome.cache_hit);
         first_caps = outcome.result.caps.clone();
         persist::save(service.database(), &dir).unwrap();
@@ -170,7 +178,9 @@ fn cache_survives_store_persistence() {
     let service = MiscelaService::with_database(reloaded);
     // The dataset itself is not re-registered, but the cached result is
     // available for the same (dataset, parameters) key.
-    let outcome = service.mine("santander", &params).unwrap();
+    let outcome = service
+        .mine(&Call::default(), "santander", &params)
+        .unwrap();
     assert!(outcome.cache_hit);
     assert_eq!(outcome.result.caps, first_caps);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -38,7 +38,7 @@ use miscela_v::miscela_csv::chunk::Chunk;
 use miscela_v::miscela_csv::{split_into_chunks, DatasetWriter};
 use miscela_v::miscela_datagen::SantanderGenerator;
 use miscela_v::miscela_model::{Dataset, RetentionPolicy};
-use miscela_v::miscela_server::{AdmissionConfig, ApiError, MiscelaService};
+use miscela_v::miscela_server::{AdmissionConfig, ApiError, Call, MiscelaService};
 use miscela_v::miscela_store::wal::{FailPoint, FailingOpener};
 use miscela_v::miscela_store::Database;
 use std::path::PathBuf;
@@ -74,6 +74,7 @@ fn variant(v: usize) -> MiningParams {
 fn upload(svc: &MiscelaService, name: &str, ds: &Dataset) {
     let writer = DatasetWriter::new();
     svc.upload_documents(
+        &Call::default(),
         name,
         &writer.data_csv(ds),
         &writer.location_csv(ds),
@@ -127,7 +128,11 @@ fn held_budget_sheds_typed_and_cancelled_mine_re_mines_identically() {
         let done = AtomicBool::new(false);
         let (observed, shed, mined) = std::thread::scope(|scope| {
             let miner = scope.spawn(|| {
-                let r = svc.mine_cancellable(DATASET, &params, None, &token);
+                let r = svc.mine(
+                    &Call::default().with_cancel(token.clone()),
+                    DATASET,
+                    &params,
+                );
                 done.store(true, Ordering::SeqCst);
                 r
             });
@@ -139,7 +144,7 @@ fn held_budget_sheds_typed_and_cancelled_mine_re_mines_identically() {
                 }
                 std::thread::yield_now();
             }
-            let shed = observed.then(|| svc.mine(DATASET, &variant(1000 + v)));
+            let shed = observed.then(|| svc.mine(&Call::default(), DATASET, &variant(1000 + v)));
             token.cancel();
             (observed, shed, miner.join().expect("miner thread panicked"))
         });
@@ -176,15 +181,21 @@ fn held_budget_sheds_typed_and_cancelled_mine_re_mines_identically() {
 
     // The cancelled mine must not have cached a partial result: the retry
     // recomputes (no cache hit) and matches the undisturbed twin exactly.
-    let retry = svc.mine(DATASET, &variant(v)).expect("retry after cancel");
+    let retry = svc
+        .mine(&Call::default(), DATASET, &variant(v))
+        .expect("retry after cancel");
     assert!(!retry.cache_hit, "cancelled mine left a cache entry");
-    let expected = twin.mine(DATASET, &variant(v)).expect("twin mine");
+    let expected = twin
+        .mine(&Call::default(), DATASET, &variant(v))
+        .expect("twin mine");
     assert_eq!(
         capset_to_json(&retry.result.caps).to_string(),
         capset_to_json(&expected.result.caps).to_string(),
         "re-mine after cancellation diverged from the undisturbed twin"
     );
-    let again = svc.mine(DATASET, &variant(v)).expect("second retry");
+    let again = svc
+        .mine(&Call::default(), DATASET, &variant(v))
+        .expect("second retry");
     assert!(again.cache_hit, "completed retry did not cache");
 }
 
@@ -200,14 +211,22 @@ fn expired_deadline_cancels_deterministically_and_retry_matches_twin() {
     upload(&twin, DATASET, &ds);
 
     let err = svc
-        .mine_with_deadline(DATASET, &base_params(), Some(Instant::now()))
+        .mine(
+            &Call::default().with_deadline(Some(Instant::now())),
+            DATASET,
+            &base_params(),
+        )
         .expect_err("expired deadline must not mine");
     assert!(matches!(err, ApiError::DeadlineExceeded(_)), "{err:?}");
     assert!(err.is_retryable());
 
-    let retry = svc.mine(DATASET, &base_params()).expect("retry");
+    let retry = svc
+        .mine(&Call::default(), DATASET, &base_params())
+        .expect("retry");
     assert!(!retry.cache_hit);
-    let expected = twin.mine(DATASET, &base_params()).expect("twin");
+    let expected = twin
+        .mine(&Call::default(), DATASET, &base_params())
+        .expect("twin");
     assert_eq!(
         capset_to_json(&retry.result.caps).to_string(),
         capset_to_json(&expected.result.caps).to_string(),
@@ -231,7 +250,7 @@ fn oversubscribed_storm_bounds_admitted_latency() {
 
     // Single-mine baseline on an idle service (variant no storm client uses).
     let baseline = svc
-        .mine(DATASET, &variant(5000))
+        .mine(&Call::default(), DATASET, &variant(5000))
         .expect("baseline mine")
         .elapsed;
 
@@ -248,7 +267,7 @@ fn oversubscribed_storm_bounds_admitted_latency() {
                 for j in 0..per_client {
                     // Every request a distinct cold variant: no cache hits,
                     // every request faces admission.
-                    match svc.mine(DATASET, &variant(c * per_client + j)) {
+                    match svc.mine(&Call::default(), DATASET, &variant(c * per_client + j)) {
                         Ok(out) => latencies.lock().unwrap().push(out.elapsed.as_nanos()),
                         Err(e) => {
                             assert!(e.is_retryable(), "untyped storm failure: {e:?}");
@@ -310,12 +329,17 @@ fn degraded_episode_keeps_acked_rows_across_crash() {
     // The uninterrupted twin: same upload + append on a plain service.
     let twin = MiscelaService::new();
     upload(&twin, DATASET, &prefix);
-    twin.begin_append(DATASET).unwrap();
+    twin.begin_append(&Call::default(), DATASET).unwrap();
     for chunk in &chunks {
-        twin.append_chunk(DATASET, chunk).unwrap();
+        twin.append_chunk(&Call::default(), DATASET, None, chunk)
+            .unwrap();
     }
-    twin.finish_append(DATASET).unwrap();
-    let expected = twin.mine(DATASET, &base_params()).unwrap().result.caps;
+    twin.finish_append(&Call::default(), DATASET).unwrap();
+    let expected = twin
+        .mine(&Call::default(), DATASET, &base_params())
+        .unwrap()
+        .result
+        .caps;
 
     let dir = matrix_dir("degraded");
     let fail = FailPoint::unlimited();
@@ -323,7 +347,7 @@ fn degraded_episode_keeps_acked_rows_across_crash() {
     let mut svc =
         MiscelaService::with_durability_opener(Arc::new(Database::new()), &dir, opener).unwrap();
     upload(&svc, DATASET, &prefix);
-    svc.begin_append(DATASET).unwrap();
+    svc.begin_append(&Call::default(), DATASET).unwrap();
 
     let crash_at = chunks.len() - 1;
     for (i, chunk) in chunks.iter().enumerate() {
@@ -331,29 +355,43 @@ fn degraded_episode_keeps_acked_rows_across_crash() {
             // The disk "fills": the next durable write fails and the
             // dataset degrades to read-only.
             fail.exhaust();
-            let err = svc.append_chunk(DATASET, chunk).unwrap_err();
+            let err = svc
+                .append_chunk(&Call::default(), DATASET, None, chunk)
+                .unwrap_err();
             assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
             assert!(err.is_retryable());
             assert!(err.retry_after_ms().is_some());
-            let reason = svc.degraded_reason(DATASET);
+            let reason = svc.degraded_reason(&Call::default(), DATASET);
             assert!(reason.is_some(), "failed write did not degrade");
 
             // Degraded mode is read-only, not down: mines and stats serve.
-            svc.mine(DATASET, &base_params()).expect("degraded mine");
-            svc.dataset(DATASET).expect("degraded read");
+            svc.mine(&Call::default(), DATASET, &base_params())
+                .expect("degraded mine");
+            svc.dataset(&Call::default(), DATASET)
+                .expect("degraded read");
             // Every durable write path answers typed while degraded.
             let err = svc
-                .set_retention(DATASET, RetentionPolicy::keep_last(100_000))
+                .set_retention(
+                    &Call::default(),
+                    DATASET,
+                    RetentionPolicy::keep_last(100_000),
+                )
                 .unwrap_err();
             assert!(matches!(err, ApiError::Unavailable { .. }), "{err:?}");
 
             // The disk recovers; the probe re-arms durability and the
             // retried chunk lands.
             fail.heal();
-            svc.append_chunk(DATASET, chunk).expect("retry after heal");
-            assert_eq!(svc.degraded_reason(DATASET), None, "heal did not re-arm");
+            svc.append_chunk(&Call::default(), DATASET, None, chunk)
+                .expect("retry after heal");
+            assert_eq!(
+                svc.degraded_reason(&Call::default(), DATASET),
+                None,
+                "heal did not re-arm"
+            );
         } else {
-            svc.append_chunk(DATASET, chunk).expect("append chunk");
+            svc.append_chunk(&Call::default(), DATASET, None, chunk)
+                .expect("append chunk");
         }
         if i == crash_at - 1 {
             // Crash in the middle of the session, after the degraded
@@ -361,10 +399,12 @@ fn degraded_episode_keeps_acked_rows_across_crash() {
             drop(svc);
             svc = MiscelaService::with_database_and_durability(Arc::new(Database::new()), &dir)
                 .unwrap();
-            assert_eq!(svc.degraded_reason(DATASET), None);
+            assert_eq!(svc.degraded_reason(&Call::default(), DATASET), None);
         }
     }
-    let (summary, _) = svc.finish_append(DATASET).expect("finish after episode");
+    let (summary, _, _) = svc
+        .finish_append(&Call::default(), DATASET)
+        .expect("finish after episode");
     assert_eq!(summary.revision, 2);
 
     // One more restart: everything acknowledged must survive recovery and
@@ -372,13 +412,17 @@ fn degraded_episode_keeps_acked_rows_across_crash() {
     drop(svc);
     let svc =
         MiscelaService::with_database_and_durability(Arc::new(Database::new()), &dir).unwrap();
-    let recovered = svc.dataset(DATASET).unwrap();
+    let recovered = svc.dataset(&Call::default(), DATASET).unwrap();
     assert_eq!(
         recovered.timestamp_count(),
         n,
         "degraded episode lost acknowledged rows"
     );
-    let caps: CapSet = svc.mine(DATASET, &base_params()).unwrap().result.caps;
+    let caps: CapSet = svc
+        .mine(&Call::default(), DATASET, &base_params())
+        .unwrap()
+        .result
+        .caps;
     assert_eq!(
         capset_to_json(&caps).to_string(),
         capset_to_json(&expected).to_string(),
@@ -427,7 +471,7 @@ fn concurrent_storm_stays_consistent() {
         for t in 0..2usize {
             scope.spawn(move || {
                 for j in 0..mine_rounds {
-                    match svc.mine(DATASET, &variant(t * mine_rounds + j)) {
+                    match svc.mine(&Call::default(), DATASET, &variant(t * mine_rounds + j)) {
                         Ok(out) => assert!(out.revision >= 1),
                         Err(e) => assert!(e.is_retryable(), "untyped mine failure: {e:?}"),
                     }
@@ -445,8 +489,8 @@ fn concurrent_storm_stays_consistent() {
             for batch in batches {
                 let chunks = split_into_chunks(batch, 100);
                 let revision = loop {
-                    match svc.begin_append(DATASET) {
-                        Ok(()) | Err(ApiError::Conflict(_)) => {}
+                    match svc.begin_append(&Call::default(), DATASET) {
+                        Ok(_) | Err(ApiError::Conflict(_)) => {}
                         Err(e) if e.is_retryable() => {
                             std::thread::yield_now();
                             continue;
@@ -454,10 +498,11 @@ fn concurrent_storm_stays_consistent() {
                         Err(e) => panic!("append begin failed: {e:?}"),
                     }
                     for chunk in &chunks {
-                        svc.append_chunk(DATASET, chunk).expect("append chunk");
+                        svc.append_chunk(&Call::default(), DATASET, None, chunk)
+                            .expect("append chunk");
                     }
-                    match svc.finish_append(DATASET) {
-                        Ok((summary, _)) => break summary.revision,
+                    match svc.finish_append(&Call::default(), DATASET) {
+                        Ok((summary, _, _)) => break summary.revision,
                         Err(ApiError::BadRequest(msg)) if msg.contains("retry the append") => {
                             std::thread::yield_now();
                         }
@@ -474,7 +519,7 @@ fn concurrent_storm_stays_consistent() {
         // a "retry" response; the flip simply retries.
         scope.spawn(move || {
             let flip = |policy: fn() -> RetentionPolicy| loop {
-                match svc.set_retention(DATASET, policy()) {
+                match svc.set_retention(&Call::default(), DATASET, policy()) {
                     Ok(_) => break,
                     Err(ApiError::BadRequest(msg)) if msg.contains("retry") => {
                         std::thread::yield_now();
@@ -493,11 +538,12 @@ fn concurrent_storm_stays_consistent() {
         scope.spawn(move || {
             for _ in 0..churn_rounds {
                 upload(svc, "scratch", scratch);
-                match svc.mine("scratch", &base_params()) {
+                match svc.mine(&Call::default(), "scratch", &base_params()) {
                     Ok(_) => {}
                     Err(e) => assert!(e.is_retryable(), "scratch mine failed: {e:?}"),
                 }
-                svc.delete_dataset("scratch").expect("scratch delete");
+                svc.delete_dataset(&Call::default(), "scratch")
+                    .expect("scratch delete");
             }
         });
     });
@@ -508,16 +554,30 @@ fn concurrent_storm_stays_consistent() {
         finish_revisions.windows(2).all(|w| w[0] < w[1]),
         "append revisions were not strictly monotonic: {finish_revisions:?}"
     );
-    assert_eq!(svc.dataset(DATASET).unwrap().timestamp_count(), n);
+    assert_eq!(
+        svc.dataset(&Call::default(), DATASET)
+            .unwrap()
+            .timestamp_count(),
+        n
+    );
 
     // Post-storm re-mine equals a cold twin fed the same batches in order.
     let twin = MiscelaService::new();
     upload(&twin, DATASET, &prefix);
     for batch in &batches {
-        twin.append_documents(DATASET, batch, 100).unwrap();
+        twin.append_documents(&Call::default(), DATASET, batch, 100)
+            .unwrap();
     }
-    let post = svc.mine(DATASET, &variant(9999)).unwrap().result.caps;
-    let cold = twin.mine(DATASET, &variant(9999)).unwrap().result.caps;
+    let post = svc
+        .mine(&Call::default(), DATASET, &variant(9999))
+        .unwrap()
+        .result
+        .caps;
+    let cold = twin
+        .mine(&Call::default(), DATASET, &variant(9999))
+        .unwrap()
+        .result
+        .caps;
     assert_eq!(
         capset_to_json(&post).to_string(),
         capset_to_json(&cold).to_string(),

@@ -281,7 +281,7 @@ fn chaos_workflow(
         ChaosTransport, ResilientClient, RetryPolicy, RouterTransport,
     };
     use miscela_v::miscela_server::durability::snapshot_data;
-    use miscela_v::miscela_server::{MiscelaService, Router};
+    use miscela_v::miscela_server::{Call, MiscelaService, Router};
     use std::sync::Arc;
 
     let service = Arc::new(MiscelaService::new());
@@ -300,9 +300,9 @@ fn chaos_workflow(
             return Err("per-request backoff exceeded the budget".to_string());
         }
         let ds = service
-            .dataset("prop")
+            .dataset(&Call::default(), "prop")
             .map_err(|e| format!("dataset lost: {e:?}"))?;
-        let revision = service.dataset_revision("prop").unwrap();
+        let revision = service.dataset_revision(&Call::default(), "prop").unwrap();
         Ok((
             caps.get("caps").unwrap().to_string_compact(),
             snapshot_data(&ds, revision, 0, &[]).to_string(),

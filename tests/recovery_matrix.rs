@@ -31,7 +31,7 @@ use miscela_v::miscela_csv::chunk::Chunk;
 use miscela_v::miscela_csv::{split_into_chunks, DatasetWriter};
 use miscela_v::miscela_datagen::SantanderGenerator;
 use miscela_v::miscela_model::SERIES_BLOCK_LEN;
-use miscela_v::miscela_server::{ApiError, MiscelaService};
+use miscela_v::miscela_server::{ApiError, Call, MiscelaService};
 use miscela_v::miscela_store::wal::{FailPoint, FailingOpener};
 use miscela_v::miscela_store::Database;
 use std::path::PathBuf;
@@ -104,6 +104,7 @@ fn run_op(svc: &MiscelaService, fx: &Fixture, op: Op) -> Result<(), ApiError> {
     match op {
         Op::Upload => svc
             .upload_documents(
+                &Call::default(),
                 DATASET,
                 &fx.prefix_csv,
                 &fx.location_csv,
@@ -111,10 +112,12 @@ fn run_op(svc: &MiscelaService, fx: &Fixture, op: Op) -> Result<(), ApiError> {
                 10_000,
             )
             .map(|_| ()),
-        Op::Begin => svc.begin_append(DATASET),
-        Op::Chunk(i) => svc.append_chunk(DATASET, &fx.tail_chunks[i]).map(|_| ()),
+        Op::Begin => svc.begin_append(&Call::default(), DATASET).map(|_| ()),
+        Op::Chunk(i) => svc
+            .append_chunk(&Call::default(), DATASET, None, &fx.tail_chunks[i])
+            .map(|_| ()),
         Op::Finish => svc
-            .finish_append_keyed(DATASET, Some(FINISH_KEY))
+            .finish_append(&Call::default().with_key(Some(FINISH_KEY)), DATASET)
             .map(|_| ()),
     }
 }
@@ -134,10 +137,15 @@ fn uninterrupted_caps(fx: &Fixture) -> CapSet {
         run_op(&svc, fx, op).expect("uninterrupted run must succeed");
     }
     assert_eq!(
-        svc.dataset(DATASET).unwrap().timestamp_count(),
+        svc.dataset(&Call::default(), DATASET)
+            .unwrap()
+            .timestamp_count(),
         fx.full_timestamps
     );
-    svc.mine(DATASET, &quick_params()).unwrap().result.caps
+    svc.mine(&Call::default(), DATASET, &quick_params())
+        .unwrap()
+        .result
+        .caps
 }
 
 /// Probe run: the full workflow through a never-tripping fail point,
@@ -229,7 +237,7 @@ fn run_with_kill(fx: &Fixture, budget: u64) -> CapSet {
                     // replayed from the recovered watermark — never a
                     // NotFound, never a double-apply.
                     let (summary, _elapsed, replayed) = svc
-                        .finish_append_keyed(DATASET, Some(FINISH_KEY))
+                        .finish_append(&Call::default().with_key(Some(FINISH_KEY)), DATASET)
                         .unwrap_or_else(|e| {
                             panic!(
                                 "budget {budget}: keyed finish retry failed after recovery: {e:?}"
@@ -259,11 +267,17 @@ fn run_with_kill(fx: &Fixture, budget: u64) -> CapSet {
     let svc =
         MiscelaService::with_database_and_durability(Arc::new(Database::new()), &dir).unwrap();
     assert_eq!(
-        svc.dataset(DATASET).unwrap().timestamp_count(),
+        svc.dataset(&Call::default(), DATASET)
+            .unwrap()
+            .timestamp_count(),
         fx.full_timestamps,
         "budget {budget}: recovery lost acknowledged rows"
     );
-    let caps = svc.mine(DATASET, &quick_params()).unwrap().result.caps;
+    let caps = svc
+        .mine(&Call::default(), DATASET, &quick_params())
+        .unwrap()
+        .result
+        .caps;
     let _ = std::fs::remove_dir_all(&dir);
     caps
 }

@@ -23,7 +23,7 @@ use miscela_v::miscela_csv::DatasetWriter;
 use miscela_v::miscela_datagen::SantanderGenerator;
 use miscela_v::miscela_model::{Dataset, RetentionPolicy};
 use miscela_v::miscela_server::message::ApiError;
-use miscela_v::miscela_server::MiscelaService;
+use miscela_v::miscela_server::{Call, MiscelaService};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -101,8 +101,8 @@ fn plan_for(tenant_idx: usize, ds_idx: usize) -> Plan {
 /// budget). Returns the revision after each mutation.
 fn run_plan(svc: &MiscelaService, tenant: &str, plan: &Plan) -> Vec<u64> {
     let mut revisions = Vec::new();
-    svc.upload_documents_in(
-        tenant,
+    svc.upload_documents(
+        &Call::tenant(tenant).unwrap(),
         &plan.name,
         &plan.prefix_csv,
         &plan.location_csv,
@@ -110,10 +110,13 @@ fn run_plan(svc: &MiscelaService, tenant: &str, plan: &Plan) -> Vec<u64> {
         5_000,
     )
     .unwrap();
-    revisions.push(svc.dataset_revision_in(tenant, &plan.name).unwrap());
+    revisions.push(
+        svc.dataset_revision(&Call::tenant(tenant).unwrap(), &plan.name)
+            .unwrap(),
+    );
     for tail in &plan.tail_csvs {
         let summary = loop {
-            match svc.append_documents_in(tenant, &plan.name, tail, 1_000) {
+            match svc.append_documents(&Call::tenant(tenant).unwrap(), &plan.name, tail, 1_000) {
                 Ok(summary) => break summary,
                 Err(ApiError::Overloaded { .. }) => {
                     std::thread::sleep(Duration::from_millis(2));
@@ -127,7 +130,7 @@ fn run_plan(svc: &MiscelaService, tenant: &str, plan: &Plan) -> Vec<u64> {
         let mut policy = RetentionPolicy::unbounded();
         policy.max_timestamps = Some(keep);
         let (summary, _) = svc
-            .set_retention_keyed_in(tenant, &plan.name, policy, None)
+            .set_retention(&Call::tenant(tenant).unwrap(), &plan.name, policy)
             .unwrap();
         if summary.trimmed_timestamps > 0 {
             revisions.push(summary.revision);
@@ -165,7 +168,11 @@ fn tenant_storm_keeps_namespaces_isolated_and_revisions_monotonic() {
                     let mut last = 0u64;
                     loop {
                         let deadline = Instant::now() + Duration::from_millis(200);
-                        match svc.watch_in(tenant, &name, last, deadline) {
+                        match svc.watch(
+                            &Call::tenant(tenant).unwrap().with_deadline(Some(deadline)),
+                            &name,
+                            last,
+                        ) {
                             Ok(out) => {
                                 if out.changed {
                                     assert!(
@@ -207,7 +214,7 @@ fn tenant_storm_keeps_namespaces_isolated_and_revisions_monotonic() {
             s.spawn(move || {
                 let params = quick_params();
                 while !done.load(Ordering::Relaxed) {
-                    match svc.mine_in(tenant, &name, &params) {
+                    match svc.mine(&Call::tenant(tenant).unwrap(), &name, &params) {
                         Ok(_)
                         | Err(ApiError::NotFound(_))
                         | Err(ApiError::Overloaded { .. })
@@ -240,8 +247,11 @@ fn tenant_storm_keeps_namespaces_isolated_and_revisions_monotonic() {
         // All writers done: delete every tenant's last dataset while its
         // watcher is parked, then let the remaining watchers drain.
         for (t, tenant) in TENANTS.iter().enumerate() {
-            svc.delete_dataset_keyed_in(tenant, &plans[t][DATASETS_PER_TENANT - 1].name, None)
-                .unwrap();
+            svc.delete_dataset(
+                &Call::tenant(tenant).unwrap(),
+                &plans[t][DATASETS_PER_TENANT - 1].name,
+            )
+            .unwrap();
         }
         std::thread::sleep(Duration::from_millis(100));
         done.store(true, Ordering::Relaxed);
@@ -263,8 +273,7 @@ fn tenant_storm_keeps_namespaces_isolated_and_revisions_monotonic() {
     // surviving datasets, with that tenant's own content.
     for (t, tenant) in TENANTS.iter().enumerate() {
         let mut names: Vec<String> = svc
-            .list_datasets_in(tenant)
-            .unwrap()
+            .list_datasets(&Call::tenant(tenant).unwrap())
             .into_iter()
             .map(|d| d.name)
             .collect();
@@ -275,7 +284,9 @@ fn tenant_storm_keeps_namespaces_isolated_and_revisions_monotonic() {
         assert_eq!(names, expected, "tenant {tenant} sees a wrong listing");
         // The untouched dataset's record count matches this tenant's own
         // generated content (every tenant's differs by construction).
-        let ds = svc.dataset_in(tenant, &plans[t][0].name).unwrap();
+        let ds = svc
+            .dataset(&Call::tenant(tenant).unwrap(), &plans[t][0].name)
+            .unwrap();
         assert_eq!(
             ds.record_count(),
             plans[t][0].expected_records,
@@ -290,8 +301,12 @@ fn tenant_storm_keeps_namespaces_isolated_and_revisions_monotonic() {
         for plan in plans[t].iter().take(DATASETS_PER_TENANT - 1) {
             let twin_svc = MiscelaService::new();
             run_plan(&twin_svc, "default", plan);
-            let warm = svc.mine_in(tenant, &plan.name, &params).unwrap();
-            let cold = twin_svc.mine(&plan.name, &params).unwrap();
+            let warm = svc
+                .mine(&Call::tenant(tenant).unwrap(), &plan.name, &params)
+                .unwrap();
+            let cold = twin_svc
+                .mine(&Call::default(), &plan.name, &params)
+                .unwrap();
             assert_eq!(
                 warm.result.caps, cold.result.caps,
                 "storm-surviving {tenant}/{} diverged from its cold twin",
