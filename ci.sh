@@ -23,6 +23,12 @@ step "perfbench: build and test the benchmark package against the workspace"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+step "perfbench: short oracle runs (exit 0 only when every correctness check passes)"
+for workload in tune explore; do
+    cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 >/dev/null
+done
+
 step "cargo doc --no-deps (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -1,9 +1,9 @@
 //! Batch parameter-sweep mining vs a per-point loop (the tuning-grid
 //! workload of Section 2.1 run as one job). `Miner::mine_sweep` extracts
 //! once per (ε, segmentation) equivalence class, builds one spatial graph
-//! per distinct η, and searches once per ψ_min group, so a 4×4×3 ψ/η/μ
-//! grid pays for 1 extraction pass, 4 graphs and 12 searches instead of
-//! 48 of each. Expected shape: batch ≥3× faster than the loop, with
+//! per distinct η, and searches once per group of points that differ only
+//! in ψ and μ, so a 4×4×3 ψ/η/μ grid pays for 1 extraction pass, 4 graphs
+//! and 4 searches instead of 48 of each. Expected shape: batch ≥3× faster than the loop, with
 //! byte-identical per-point results (asserted before timing).
 //!
 //! The `kernel` group is the instruction-count proxy for the contiguous
@@ -22,7 +22,7 @@ use miscela_core::{Bitset, CancelToken, Miner, MiningParams};
 use std::time::Duration;
 
 /// Bounded grid for the CI smoke lane: 2×2×2 instead of 4×4×3, same
-/// sharing structure (one extraction class, 2 graphs, 4 search groups).
+/// sharing structure (one extraction class, 2 graphs, 2 search groups).
 fn active_grid() -> Vec<MiningParams> {
     let full = sweep_grid();
     if std::env::var_os("MISCELA_SWEEP_SMOKE").is_some() {

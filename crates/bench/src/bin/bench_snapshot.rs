@@ -50,7 +50,7 @@
 //! ψ/η/μ tuning grid mined as one batch (`Miner::mine_sweep`) vs as a
 //! per-point loop, back-to-back in each repeat, reported as
 //! `sweep_batch_ns` / `sweep_loop_ns` medians plus the plan shape (one
-//! extraction class, 4 graphs, 12 search groups). The harness asserts
+//! extraction class, 4 graphs, 4 search groups). The harness asserts
 //! every batch point byte-identical to its independent mine before
 //! timing; `identical: true` records that the check ran.
 //!

@@ -275,9 +275,9 @@ pub fn china_params() -> MiningParams {
 ///
 /// The shape is deliberately sweep-friendly in the way real tuning grids
 /// are: all points share one extraction class (same ε, segmentation off),
-/// only 4 distinct η values need a spatial graph, and each (η, μ) cell
-/// collapses to a single ψ_min search group, so the batch miner runs
-/// 12 searches instead of 48.
+/// only 4 distinct η values need a spatial graph, and the ψ- and
+/// μ-variants of each η share one ψ_min, so each η collapses to a single
+/// search group and the batch miner runs 4 searches instead of 48.
 pub fn sweep_grid() -> Vec<MiningParams> {
     let mut grid = Vec::with_capacity(48);
     for &psi in &[36usize, 40, 44, 48] {

@@ -81,6 +81,11 @@ impl ResultCache {
         }
     }
 
+    /// Looks up a key without recording a hit or miss.
+    pub fn peek(&self, key: &CacheKey) -> Option<CapSet> {
+        self.inner.lock().entries.get(key).cloned()
+    }
+
     /// Whether a key is cached (does not affect statistics).
     pub fn contains(&self, key: &CacheKey) -> bool {
         self.inner.lock().entries.contains_key(key)

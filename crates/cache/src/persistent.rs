@@ -37,11 +37,19 @@ impl PersistentCache {
         }
     }
 
-    /// Looks up a cached result, first in memory, then in the store.
+    /// Looks up a cached result, first in memory, then in the store. The
+    /// memory tier records the lookup as a hit or a miss.
     pub fn get(&self, key: &CacheKey) -> Option<CapSet> {
-        if let Some(hit) = self.memory.get(key) {
-            return Some(hit);
-        }
+        self.memory.get(key).or_else(|| self.get_from_store(key))
+    }
+
+    /// [`PersistentCache::get`] without recording a hit or a miss: a
+    /// repeated lookup whose first attempt was already counted.
+    pub fn peek(&self, key: &CacheKey) -> Option<CapSet> {
+        self.memory.peek(key).or_else(|| self.get_from_store(key))
+    }
+
+    fn get_from_store(&self, key: &CacheKey) -> Option<CapSet> {
         let doc = self.db.find_one(RESULTS_COLLECTION, &key_filter(key))?;
         let caps = capset_from_json(doc.get("caps")?)?;
         // Promote to the memory tier for subsequent lookups.
@@ -304,6 +312,68 @@ mod tests {
         assert_eq!(cache.get(&untrimmed).unwrap(), sample_caps());
         assert!(cache.get(&trimmed).unwrap().is_empty());
         assert_eq!(cache.stored_results(), 2);
+    }
+
+    #[test]
+    fn a_thousand_results_of_one_dataset_stay_exact() {
+        // The key filter resolves through the selective `signature` index
+        // rather than visiting every result of the dataset; what it finds
+        // must not change.
+        let db = Arc::new(Database::new());
+        let key = |revision: u64, psi: usize| {
+            CacheKey::for_revision(
+                "santander",
+                revision,
+                &MiningParams::default().with_psi(psi),
+            )
+        };
+        let caps_for = |psi: usize| {
+            if psi.is_multiple_of(2) {
+                sample_caps()
+            } else {
+                CapSet::new()
+            }
+        };
+        let cache = PersistentCache::new(Arc::clone(&db));
+        for revision in 1..=2 {
+            for psi in 1..=500 {
+                cache.put(&key(revision, psi), &caps_for(psi));
+            }
+        }
+        assert_eq!(cache.stored_results(), 1000);
+
+        // A fresh memory tier answers every key from the store tier.
+        let fresh = PersistentCache::new(Arc::clone(&db));
+        for psi in [1, 2, 250, 499, 500] {
+            assert_eq!(fresh.get(&key(1, psi)).unwrap(), caps_for(psi));
+            assert_eq!(fresh.get(&key(2, psi)).unwrap(), caps_for(psi));
+        }
+        assert!(fresh.get(&key(2, 501)).is_none());
+
+        // Replacing a key keeps one document for it.
+        fresh.put(&key(2, 2), &CapSet::new());
+        assert_eq!(fresh.stored_results(), 1000);
+        let again = PersistentCache::new(Arc::clone(&db));
+        assert!(again.get(&key(2, 2)).unwrap().is_empty());
+        assert_eq!(again.get(&key(1, 2)).unwrap(), sample_caps());
+
+        // Revision GC collects exactly the superseded generation.
+        let gc = PersistentCache::new(Arc::clone(&db));
+        assert_eq!(gc.evict_superseded("santander", 2), 500);
+        assert_eq!(gc.stored_results(), 500);
+        assert!(gc.get(&key(1, 4)).is_none());
+        assert_eq!(gc.get(&key(2, 4)).unwrap(), sample_caps());
+        assert!(gc.get(&key(2, 2)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn peek_records_neither_hits_nor_misses() {
+        let cache = PersistentCache::new(Arc::new(Database::new()));
+        let key = CacheKey::new("santander", &MiningParams::default());
+        assert!(cache.peek(&key).is_none());
+        cache.put(&key, &sample_caps());
+        assert_eq!(cache.peek(&key).unwrap(), sample_caps());
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 0));
     }
 
     #[test]

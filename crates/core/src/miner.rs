@@ -113,7 +113,8 @@ pub struct SweepStats {
     /// Distinct η values — step (3) built one proximity graph per value.
     pub graphs_built: usize,
     /// Distinct searches — step (4) ran once per group of points that
-    /// differ only in ψ, at the group's minimum ψ.
+    /// differ only in ψ and μ, at the group's minimum ψ and maximum μ
+    /// (μ-variants merge only when their minimum ψ is the same).
     pub search_groups: usize,
     /// Series extractions served whole from the evolving-sets cache.
     pub extraction_cache_hits: usize,
@@ -234,16 +235,28 @@ impl Miner {
     ///   [`Miner::mine_with_cache`]);
     /// * **one proximity graph per distinct η** — step (3) ignores every
     ///   other parameter;
-    /// * **search groups** — distinct points that differ only in ψ share
-    ///   one step-(4) search, run at the group's minimum ψ. The search
-    ///   consults ψ only as a support floor (candidate pruning and emit
-    ///   gating) and supports are nonincreasing along ESU extension
-    ///   paths, so the ψ_min run's caps are a superset of every member's
-    ///   and filtering them by `support >= ψ` reproduces each member's
-    ///   independent mine byte-for-byte ([`CapSet::from_caps`] applies a
-    ///   ψ-independent total order). The same argument covers the delayed
-    ///   extension: its per-edge best pair maximizes support before the ψ
-    ///   floor is consulted, so the group result filters exactly.
+    /// * **search groups** — distinct points that differ only in ψ and μ
+    ///   share one step-(4) search. The points of one μ are first grouped
+    ///   at their minimum ψ; the groups of different μ that share that
+    ///   ψ_min are then merged and searched once at (ψ_min, μ_max), which
+    ///   is exactly the search their μ_max member would have run alone, so
+    ///   merging never adds search work. Each member filters the group's
+    ///   caps by `support >= ψ && attributes.len() <= μ`, which reproduces
+    ///   its independent mine byte-for-byte ([`CapSet::from_caps`] applies
+    ///   a ψ- and μ-independent total order):
+    ///   - ψ is consulted only as a support floor (candidate pruning and
+    ///     emit gating) and supports are nonincreasing along ESU extension
+    ///     paths, so the ψ_min run's caps are a superset of every member's.
+    ///   - μ is consulted only by the attribute prune, which skips an
+    ///     extension without touching the extension set or the
+    ///     closed-neighbourhood marks any sibling sees. Every sensor set
+    ///     within μ attributes is therefore reached along the same ESU path
+    ///     with the same candidates and direction tie-break at μ_max, and
+    ///     since the attribute count only grows along a path, no ancestor
+    ///     of such a set is pruned at μ either.
+    ///   - The delayed extension ignores μ, and its per-edge best pair
+    ///     maximizes support before the ψ floor is consulted, so its group
+    ///     result filters exactly by ψ.
     ///
     /// All search groups' work units (whole small components, per-seed
     /// subtrees of oversized ones) are tagged with their group, globally
@@ -372,41 +385,57 @@ impl Miner {
         }
         let spatial_time = t1.elapsed();
 
-        // Search groups: distinct points that differ only in ψ, searched
-        // once at the group minimum.
+        // Search groups: distinct points that differ only in ψ and μ. The
+        // ψ-variants of one μ share a floor, ψ_min; the μ-variants that share
+        // a floor share one search at (ψ_min, μ_max) — the search their μ_max
+        // member would have run alone.
         struct SweepGroup {
-            /// Representative parameters with ψ lowered to the group min.
+            /// Representative parameters at the group's ψ_min and μ_max.
             params: MiningParams,
             class: usize,
             graph: usize,
         }
+        // Everything step (4) and the delayed extension read, except ψ and μ.
+        type SearchKey = (u64, u64, usize, bool, u64, Option<usize>, usize);
+        let search_key = |p: &MiningParams| -> SearchKey {
+            (
+                p.epsilon.to_bits(),
+                p.eta_km.to_bits(),
+                p.min_attributes,
+                p.segmentation,
+                p.segmentation_error.to_bits(),
+                p.max_sensors,
+                p.max_delay,
+            )
+        };
+        let mut psi_floor: HashMap<(SearchKey, usize), usize> = HashMap::new();
+        for p in &unique {
+            psi_floor
+                .entry((search_key(p), p.mu))
+                .and_modify(|psi| *psi = (*psi).min(p.psi))
+                .or_insert(p.psi);
+        }
         let mut groups: Vec<SweepGroup> = Vec::new();
         let mut group_of: Vec<usize> = Vec::with_capacity(unique.len());
         {
-            type GroupKey = (u64, u64, usize, usize, bool, u64, Option<usize>, usize);
-            let mut by_key: HashMap<GroupKey, usize> = HashMap::new();
+            let mut by_key: HashMap<(SearchKey, usize), usize> = HashMap::new();
             for (ui, p) in unique.iter().enumerate() {
-                let key = (
-                    p.epsilon.to_bits(),
-                    p.eta_km.to_bits(),
-                    p.mu,
-                    p.min_attributes,
-                    p.segmentation,
-                    p.segmentation_error.to_bits(),
-                    p.max_sensors,
-                    p.max_delay,
-                );
-                match by_key.entry(key) {
+                let key = search_key(p);
+                let floor = psi_floor[&(key, p.mu)];
+                match by_key.entry((key, floor)) {
                     Entry::Occupied(e) => {
                         let g = &mut groups[*e.get()];
-                        g.params.psi = g.params.psi.min(p.psi);
+                        g.params.mu = g.params.mu.max(p.mu);
                         group_of.push(*e.get());
                     }
                     Entry::Vacant(e) => {
                         e.insert(groups.len());
                         group_of.push(groups.len());
                         groups.push(SweepGroup {
-                            params: p.clone(),
+                            params: MiningParams {
+                                psi: floor,
+                                ..p.clone()
+                            },
                             class: class_of[ui],
                             graph: graph_of[ui],
                         });
@@ -496,8 +525,9 @@ impl Miner {
             }
         }
 
-        // Per-point results: the ψ-filter of the owning group's superset,
-        // moved out of the group by its last member instead of cloned.
+        // Per-point results: the ψ/μ-filter of the owning group's superset,
+        // moved out of the group by its last member instead of cloned. The
+        // delayed extension ignores μ, so its pairs filter by ψ alone.
         let mut members_left = vec![0usize; groups.len()];
         for &gi in &group_of {
             members_left[gi] += 1;
@@ -509,7 +539,7 @@ impl Miner {
             members_left[gi] -= 1;
             let last = members_left[gi] == 0;
             let caps = CapSet::from_caps(filter_support(&mut group_caps[gi], last, |c| {
-                c.support >= p.psi
+                c.support >= p.psi && c.attributes.len() <= p.mu
             }));
             let delayed = filter_support(&mut group_delayed[gi], last, |d| d.support >= p.psi);
             let class_sets = &flat[g.class * n_series..(g.class + 1) * n_series];
@@ -855,6 +885,14 @@ mod tests {
     /// cluster, sensors 0 and 1 co-evolve (different attributes) and sensor 2
     /// is uncorrelated noise.
     fn clustered_dataset(clusters: usize, n: usize) -> Dataset {
+        coupled_dataset(clusters, 0, n)
+    }
+
+    /// [`clustered_dataset`] whose first `coupled` clusters have sensor 2
+    /// co-evolve in phase with sensors 0 and 1, so those clusters also hold
+    /// a three-attribute CAP (with the same support as every pair): a μ = 2
+    /// mine differs from a μ = 3 one.
+    fn coupled_dataset(clusters: usize, coupled: usize, n: usize) -> Dataset {
         let mut b = DatasetBuilder::new("clustered");
         let start = Timestamp::parse("2016-03-01 00:00:00").unwrap();
         b.set_grid(TimeGrid::new(start, ModelDuration::hours(1), n).unwrap());
@@ -904,7 +942,8 @@ mod tests {
                 .unwrap();
             b.set_series(temp, saw(1.0, 12)).unwrap();
             b.set_series(traffic, saw(20.0, 12)).unwrap();
-            b.set_series(hum, noise(c)).unwrap();
+            let humidity = if c < coupled { saw(0.5, 12) } else { noise(c) };
+            b.set_series(hum, humidity).unwrap();
         }
         b.build().unwrap()
     }
@@ -1436,13 +1475,16 @@ mod tests {
 
     #[test]
     fn sweep_matches_independent_mines_and_shares_work() {
-        let ds = clustered_dataset(3, 240);
+        // Cluster 0 holds a three-attribute CAP, so the μ = 2 points below
+        // differ from their μ = 3 siblings and the group's μ-filter bites.
+        let ds = coupled_dataset(3, 1, 240);
         let grid: Vec<MiningParams> = vec![
             params().with_psi(5),
             params().with_psi(30),
             params().with_psi(5).with_eta_km(5.0),
             params().with_psi(30).with_eta_km(5.0),
             params().with_psi(5).with_mu(2),
+            params().with_psi(30).with_mu(2),
             params().with_psi(30), // duplicate of an earlier point
             // Every fixture CAP has support 120: ψ = 120 keeps them all and
             // ψ = 121 none, so these two points make the group's ψ-filter
@@ -1496,11 +1538,32 @@ mod tests {
         assert_eq!(out.stats.extraction_classes, 2); // ε shared; one seg class
         assert_eq!(out.stats.graphs_built, 2); // η ∈ {1.0, 5.0}
 
-        // Groups: base {ψ5,ψ30,ψ120,ψ121}, η5 {ψ5,ψ30}, μ2 {ψ5},
-        // delay {ψ5,ψ30}, seg {ψ5}.
-        assert_eq!(out.stats.search_groups, 5);
-        // ψ-monotonicity is visible inside one group.
+        // Groups: base {ψ5,ψ30,ψ120,ψ121} merged with μ2 {ψ5,ψ30} (same
+        // ψ_min), η5 {ψ5,ψ30}, delay {ψ5,ψ30}, seg {ψ5}.
+        assert_eq!(out.stats.search_groups, 4);
+        // ψ-monotonicity is visible inside one group, and so is the
+        // μ-filter: cluster 0's three-attribute CAP is cut at μ = 2.
         assert!(out.results[0].caps.len() >= out.results[1].caps.len());
+        assert_eq!(out.results[4].caps.len() + 1, out.results[0].caps.len());
+        assert!(out.results[0]
+            .caps
+            .caps()
+            .iter()
+            .any(|c| c.attribute_count() == 3));
+
+        // μ-variants whose minimum ψ differs stay separate searches: μ3
+        // {ψ5,ψ30} and μ2 {ψ30}.
+        let grid = vec![
+            params().with_psi(5),
+            params().with_psi(30),
+            params().with_psi(30).with_mu(2),
+        ];
+        let out = Miner::mine_sweep(&ds, &grid, None, &CancelToken::never()).unwrap();
+        assert_eq!(out.stats.search_groups, 2);
+        for (p, r) in grid.iter().zip(&out.results) {
+            assert_eq!(r.caps, sequential_reference(&ds, p).caps);
+        }
+        assert!(out.results[2].caps.len() < out.results[1].caps.len());
     }
 
     #[test]
@@ -1646,10 +1709,11 @@ mod tests {
             ),
         ) {
             // The fixture's CAPs all have support 60, so ψ = 60 and 61 sit
-            // on either side of the ψ-filter's boundary.
+            // on either side of the ψ-filter's boundary; its first cluster
+            // holds a three-attribute CAP, so μ = 2 and μ = 3 differ.
             let psis = [3usize, 20, 60, 61];
             let etas = [0.05f64, 1.0, 5.0];
-            let ds = clustered_dataset(2, 120);
+            let ds = coupled_dataset(2, 1, 120);
             let grid: Vec<MiningParams> = specs
                 .iter()
                 .map(|&(pi, ei, mi, si, di)| {

@@ -495,8 +495,12 @@ impl Router {
             ("replayed", Json::from(false)),
             ("results", Json::Array(results)),
         ]);
-        self.service
-            .remember_sweep(&call, name, doc.to_string_compact());
+        // Only a keyed sweep can be retried, so only its body is encoded
+        // for the replay store.
+        if call.key().is_some() {
+            self.service
+                .remember_sweep(&call, name, doc.to_string_compact());
+        }
         Ok(ApiResponse::ok(doc))
     }
 

@@ -2256,15 +2256,23 @@ impl MiscelaService {
             Some(e) => (e.revision, e.dataset.trimmed() as u64),
             None => self.stored_version(scope)?,
         };
-        let probe = |i: usize| -> Option<MiningResult> {
+        // Each point's first probe records its hit or miss; the re-probe
+        // after admission does not count the same lookup twice.
+        let probe = |i: usize, counted: bool| -> Option<MiningResult> {
             let ck = CacheKey::for_state(&scope.key, revision, trimmed, unique[i]);
-            self.store.cache.get(&ck).map(|caps| MiningResult {
+            let caps = if counted {
+                self.store.cache.get(&ck)
+            } else {
+                self.store.cache.peek(&ck)
+            };
+            caps.map(|caps| MiningResult {
                 caps,
                 delayed: Vec::new(),
                 report: Default::default(),
             })
         };
-        let mut results: Vec<Option<MiningResult>> = (0..unique.len()).map(probe).collect();
+        let mut results: Vec<Option<MiningResult>> =
+            (0..unique.len()).map(|i| probe(i, true)).collect();
         let mut cache_hits = vec![true; unique.len()];
         let missing: Vec<usize> = (0..unique.len())
             .filter(|&i| results[i].is_none())
@@ -2289,7 +2297,7 @@ impl MiscelaService {
             let still: Vec<usize> = missing
                 .into_iter()
                 .filter(|&i| {
-                    results[i] = probe(i);
+                    results[i] = probe(i, false);
                     results[i].is_none()
                 })
                 .collect();
@@ -2634,6 +2642,36 @@ mod tests {
                 &MiningParams::new().with_psi(0)
             )
             .is_err());
+    }
+
+    #[test]
+    fn a_mined_point_counts_one_result_cache_miss() {
+        let svc = MiscelaService::new();
+        svc.register_dataset(small_dataset());
+        let params = quick_params();
+        let counts = |svc: &MiscelaService| {
+            let stats = svc.cache_stats();
+            (stats.hits, stats.misses)
+        };
+        // The probe before admission counts the miss; the re-probe after
+        // it does not count it again.
+        let cold = svc.mine(&Call::default(), "santander", &params).unwrap();
+        assert!(!cold.cache_hit);
+        assert_eq!(counts(&svc), (0, 1));
+        let repeat = svc.mine(&Call::default(), "santander", &params).unwrap();
+        assert!(repeat.cache_hit);
+        assert_eq!(counts(&svc), (1, 1));
+        // A sweep counts one lookup per distinct point: the cached point
+        // hits, the two fresh ones miss once each.
+        let grid = [
+            params.clone(),
+            params.clone().with_psi(25),
+            params.clone().with_psi(30),
+            params.clone().with_psi(25),
+        ];
+        svc.mine_sweep(&Call::default(), "santander", &grid)
+            .unwrap();
+        assert_eq!(counts(&svc), (2, 3));
     }
 
     #[test]

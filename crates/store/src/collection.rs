@@ -116,34 +116,37 @@ impl Collection {
 
     /// Finds every document matching the filter, in id order.
     ///
-    /// When the filter pins an indexed field to an exact value, the matching
-    /// index narrows the candidate set before the filter is evaluated.
+    /// When the filter pins indexed fields to exact values, the index with
+    /// the fewest documents for its value narrows the candidate set before
+    /// the filter is evaluated.
     pub fn find(&self, filter: &Filter) -> Vec<&Document> {
-        // Try to answer from an index.
-        for idx in &self.indexes {
-            if let Some(value) = filter.equality_on(idx.path()) {
-                let mut out: Vec<&Document> = idx
-                    .lookup(value)
-                    .into_iter()
-                    .filter_map(|id| self.docs.get(&id))
-                    .filter(|d| filter.matches(d))
-                    .collect();
-                out.sort_by_key(|d| d.id);
-                return out;
-            }
-        }
-        self.docs.values().filter(|d| filter.matches(d)).collect()
+        self.matching(filter).collect()
     }
 
     /// First document matching the filter (id order).
     pub fn find_one(&self, filter: &Filter) -> Option<&Document> {
-        // Index-accelerated path reuses `find`, which is already ordered.
-        for idx in &self.indexes {
-            if filter.equality_on(idx.path()).is_some() {
-                return self.find(filter).into_iter().next();
-            }
-        }
-        self.docs.values().find(|d| filter.matches(d))
+        self.matching(filter).next()
+    }
+
+    /// The documents matching the filter, in id order: the candidates of
+    /// the most selective index the filter pins to a value, or a scan when
+    /// it pins no indexed field.
+    fn matching<'a: 'f, 'f>(
+        &'a self,
+        filter: &'f Filter,
+    ) -> impl Iterator<Item = &'a Document> + 'f {
+        let ids = self
+            .indexes
+            .iter()
+            .filter_map(|idx| filter.equality_on(idx.path()).map(|value| (idx, value)))
+            .min_by_key(|(idx, value)| idx.count(value))
+            .map(|(idx, value)| idx.lookup(value));
+        let scan = ids.is_none().then(|| self.docs.values());
+        ids.into_iter()
+            .flatten()
+            .filter_map(|id| self.docs.get(&id))
+            .chain(scan.into_iter().flatten())
+            .filter(move |d| filter.matches(d))
     }
 
     /// Number of documents matching the filter.
@@ -244,6 +247,56 @@ mod tests {
         c.update(other, body(r#"{"dataset":"d1","params":{"psi":0}}"#))
             .unwrap();
         assert_eq!(c.find(&q).len(), via_scan.len());
+
+        // A low-selectivity index declared before a high-selectivity one:
+        // whichever index answers, every query returns exactly the scan's
+        // documents, in id order.
+        let build = |indexed: bool| {
+            let mut c = Collection::new();
+            if indexed {
+                c.create_index("dataset");
+                c.create_index("signature");
+            }
+            for i in 0..60 {
+                c.insert(body(&format!(
+                    r#"{{"dataset":"{}","signature":"s{}","n":{i}}}"#,
+                    if i % 10 == 0 { "other" } else { "main" },
+                    i % 20
+                )));
+            }
+            c
+        };
+        let ids = |docs: Vec<&Document>| docs.into_iter().map(|d| d.id).collect::<Vec<_>>();
+        let queries = [
+            Filter::and([Filter::eq("dataset", "main"), Filter::eq("signature", "s3")]),
+            Filter::and([
+                Filter::eq("signature", "s0"),
+                Filter::eq("dataset", "other"),
+            ]),
+            Filter::and([
+                Filter::eq("dataset", "other"),
+                Filter::eq("signature", "s3"),
+            ]),
+            Filter::and([
+                Filter::eq("dataset", "main"),
+                Filter::eq("signature", "s99"),
+            ]),
+            Filter::and([Filter::eq("signature", "s7"), Filter::Gt("n".into(), 10.0)]),
+            Filter::eq("dataset", "main"),
+            Filter::eq("signature", "s5"),
+        ];
+        let (mut indexed, mut scanned) = (build(true), build(false));
+        for q in &queries {
+            let expected = ids(scanned.find(q));
+            assert_eq!(ids(indexed.find(q)), expected, "{q:?}");
+            assert_eq!(indexed.find_one(q).map(|d| d.id), expected.first().copied());
+            assert_eq!(indexed.count(q), expected.len());
+        }
+        for q in &queries {
+            assert_eq!(indexed.delete_where(q), scanned.delete_where(q), "{q:?}");
+            assert_eq!(ids(indexed.iter().collect()), ids(scanned.iter().collect()));
+        }
+        assert_eq!(indexed.len(), 3); // the "other" documents of s10
     }
 
     #[test]

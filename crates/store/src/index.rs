@@ -71,6 +71,14 @@ impl FieldIndex {
             .unwrap_or_default()
     }
 
+    /// Number of documents whose indexed field equals `value`: the cost of
+    /// answering that equality through this index.
+    pub fn count(&self, value: &Json) -> usize {
+        self.entries
+            .get(&Self::key_for(value))
+            .map_or(0, HashSet::len)
+    }
+
     /// Number of distinct indexed values.
     pub fn cardinality(&self) -> usize {
         self.entries.len()
@@ -108,6 +116,8 @@ mod tests {
         );
         assert_eq!(idx.lookup(&"china6".into()), vec![DocumentId(2)]);
         assert!(idx.lookup(&"covid".into()).is_empty());
+        assert_eq!(idx.count(&"santander".into()), 2);
+        assert_eq!(idx.count(&"covid".into()), 0);
         assert_eq!(idx.cardinality(), 2);
         idx.remove(&d1);
         assert_eq!(idx.lookup(&"santander".into()), vec![DocumentId(3)]);
